@@ -18,7 +18,7 @@ use babelfish::capture::TraceReader;
 use babelfish::replay::{capture_meta, meta_config, replay_file, CaptureFile, ReplayOptions};
 use babelfish::Mode;
 use bf_bench::{
-    header, DEFAULT_BATCH, DEFAULT_HEARTBEAT_EVERY, DEFAULT_HEARTBEAT_FILE, DEFAULT_PROFILE_K,
+    header, DEFAULT_HEARTBEAT_EVERY, DEFAULT_HEARTBEAT_FILE, DEFAULT_PROFILE_K,
     DEFAULT_TIMELINE_EPOCH, DEFAULT_TRACE_SAMPLE,
 };
 
@@ -38,10 +38,6 @@ const USAGE: &str = "options:
   --recapture=F   tee the replayed stream back into a new trace at F; without
                   --mode the new file is byte-identical to the input (the
                   capture -> replay -> capture determinism check)
-  --batch[=N]     feed runs of up to N consecutive same-process access records
-                  through the batched SoA engine (default N=64; 0 is rejected);
-                  counters, timelines, and recaptures are byte-identical to the
-                  scalar replay, only records/s changes
   --salvage       read the trace in salvage mode: skip corrupt blocks, resync
                   at the next self-consistent block header, replay whatever
                   decodes, and print the loss accounting (blocks skipped,
@@ -66,7 +62,6 @@ struct ReplayArgs {
     timeline_every: u64,
     profile_top_k: u64,
     recapture: Option<String>,
-    batch: usize,
     salvage: bool,
     heartbeat: Option<String>,
     heartbeat_every: u64,
@@ -79,7 +74,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
     let mut timeline_every = 0;
     let mut profile_top_k = 0;
     let mut recapture = None;
-    let mut batch = 0;
     let mut salvage = false;
     let mut heartbeat: Option<String> = None;
     for arg in args {
@@ -87,7 +81,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
             "--trace" => trace_sample_every = DEFAULT_TRACE_SAMPLE,
             "--timeline" => timeline_every = DEFAULT_TIMELINE_EPOCH,
             "--profile" => profile_top_k = DEFAULT_PROFILE_K,
-            "--batch" => batch = DEFAULT_BATCH,
             "--salvage" => salvage = true,
             "--heartbeat" => heartbeat = Some(DEFAULT_HEARTBEAT_FILE.to_owned()),
             "-h" | "--help" => return Err(String::new()),
@@ -117,12 +110,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
                         return Err("--heartbeat= needs a file after '='".to_owned());
                     }
                     heartbeat = Some(path.to_owned());
-                } else if let Some(n) = arg.strip_prefix("--batch=") {
-                    batch = n
-                        .parse()
-                        .ok()
-                        .filter(|&b: &usize| b > 0)
-                        .ok_or_else(|| format!("invalid --batch value: {n}"))?;
                 } else if arg.starts_with('-') {
                     return Err(format!("unknown argument: {arg}"));
                 } else if trace.is_none() {
@@ -150,7 +137,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
         timeline_every,
         profile_top_k,
         recapture,
-        batch,
         salvage,
         heartbeat,
         heartbeat_every,
@@ -184,7 +170,6 @@ fn main() {
     bf_bench::set_run_context(bf_bench::RunContext {
         faults_spec: None,
         threads: 1,
-        batch: args.batch,
         heartbeat: args.heartbeat.clone().map(std::path::PathBuf::from),
         heartbeat_every: args.heartbeat_every,
         config: None,
@@ -215,7 +200,6 @@ fn main() {
         timeline_fail_fast: false,
         profile_top_k: args.profile_top_k,
         recapture: recapture_file.as_ref().map(|file| file.sink()),
-        batch: args.batch,
         salvage: args.salvage,
         heartbeat_every: args.heartbeat_every,
     };

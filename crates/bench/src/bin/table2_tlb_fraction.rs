@@ -11,30 +11,43 @@ use babelfish::experiment::{run_compute, run_functions, run_serving, ComputeKind
 use babelfish::{AccessDensity, Mode, ServingVariant};
 use bf_bench::header;
 
-fn fraction(base: f64, tlb_only: f64, full: f64) -> f64 {
+/// The unclamped attribution ratio, or `None` when full BabelFish
+/// gained nothing over the baseline (there is no gain to attribute).
+/// Below 0, TLB-only sharing ran slower than the baseline; above 1, it
+/// beat full BabelFish.
+fn raw_fraction(base: f64, tlb_only: f64, full: f64) -> Option<f64> {
     let total_gain = base - full;
-    if total_gain <= 0.0 {
-        return 0.0;
-    }
-    ((base - tlb_only) / total_gain).clamp(0.0, 1.0)
+    (total_gain > 0.0).then(|| (base - tlb_only) / total_gain)
+}
+
+/// Prints one table row: the ratio clamped to [0, 1], the raw ratio,
+/// and the paper's value.
+fn row(label: &str, base: f64, tlb_only: f64, full: f64, paper: f64) {
+    let cell = |v: Option<f64>| v.map_or_else(|| "—".to_owned(), |v| format!("{v:.2}"));
+    let raw = raw_fraction(base, tlb_only, full);
+    println!(
+        "{:<14} {:>9} {:>8} {:>8.2}",
+        label,
+        cell(raw.map(|r| r.clamp(0.0, 1.0))),
+        cell(raw),
+        paper
+    );
 }
 
 fn main() {
     let cfg = bf_bench::config_from_args();
     header("Table II: fraction of time reduction due to L2 TLB effects");
-    println!("{:<14} {:>9} {:>8}", "workload", "measured", "paper");
+    println!(
+        "{:<14} {:>9} {:>8} {:>8}",
+        "workload", "measured", "raw", "paper"
+    );
 
     let paper_serving = [0.77, 0.25, 0.81];
     for (variant, paper) in ServingVariant::ALL.into_iter().zip(paper_serving) {
         let base = run_serving(Mode::Baseline, variant, &cfg).mean_latency;
         let tlb = run_serving(Mode::babelfish_tlb_only(), variant, &cfg).mean_latency;
         let full = run_serving(Mode::babelfish(), variant, &cfg).mean_latency;
-        println!(
-            "{:<14} {:>9.2} {:>8.2}",
-            variant.name(),
-            fraction(base, tlb, full),
-            paper
-        );
+        row(variant.name(), base, tlb, full, paper);
     }
 
     let paper_compute = [0.11, 0.29];
@@ -42,12 +55,7 @@ fn main() {
         let base = run_compute(Mode::Baseline, kind, &cfg).exec_cycles as f64;
         let tlb = run_compute(Mode::babelfish_tlb_only(), kind, &cfg).exec_cycles as f64;
         let full = run_compute(Mode::babelfish(), kind, &cfg).exec_cycles as f64;
-        println!(
-            "{:<14} {:>9.2} {:>8.2}",
-            kind.name(),
-            fraction(base, tlb, full),
-            paper
-        );
+        row(kind.name(), base, tlb, full, paper);
     }
 
     for (label, density, paper) in [
@@ -57,13 +65,9 @@ fn main() {
         let base = run_functions(Mode::Baseline, density, &cfg).follower_mean_exec();
         let tlb = run_functions(Mode::babelfish_tlb_only(), density, &cfg).follower_mean_exec();
         let full = run_functions(Mode::babelfish(), density, &cfg).follower_mean_exec();
-        println!(
-            "{:<14} {:>9.2} {:>8.2}",
-            label,
-            fraction(base, tlb, full),
-            paper
-        );
+        row(label, base, tlb, full, paper);
     }
 
-    println!("\n(1.0 = all gains from TLB entry sharing; 0.0 = all from page tables)");
+    println!("\n(1.0 = all gains from TLB entry sharing; 0.0 = all from page tables;");
+    println!(" raw < 0 = TLB-only sharing slower than baseline; — = no gain to attribute)");
 }

@@ -42,9 +42,6 @@ pub const DEFAULT_TIMELINE_EPOCH: u64 = 4096;
 /// Default hot-region sketch capacity for a bare `--profile` flag.
 pub const DEFAULT_PROFILE_K: u64 = 64;
 
-/// Default SoA batch size for a bare `--batch` flag.
-pub const DEFAULT_BATCH: usize = 64;
-
 /// Default heartbeat file for a bare `--heartbeat` flag.
 pub const DEFAULT_HEARTBEAT_FILE: &str = "results/heartbeat.ndjson";
 
@@ -119,10 +116,6 @@ const USAGE: &str = "options:
                       blame) and write results/<figure>-profile-latest.json
                       (default K=64; BF_PROFILE=K also works; render with
                       bf_report profile)
-  --batch[=N]         run the measurement windows through the batched SoA
-                      access-stream engine with N-access batches (default N=64;
-                      BF_BATCH=N also works); results are byte-identical to the
-                      scalar loop, only wall-clock throughput changes
   --threads N         worker threads for the experiment sweep (BF_THREADS also
                       works; defaults to the host's available parallelism)
   --capture=FILE      record the canonical capture cell (mongodb x babelfish, or
@@ -136,7 +129,7 @@ const USAGE: &str = "options:
                       clauses like tlb-bitflip@p=1e-5, walk-stall@p=1e-4,cycles=2000,
                       alloc-fail@p=1e-6, trace-corrupt@block=3, cell-panic@idx=2,
                       seed=N (BF_FAULTS=SPEC also works); injection is
-                      byte-reproducible at any --threads/--batch, and unarmed
+                      byte-reproducible at any --threads, and unarmed
                       runs are byte-identical to builds without the subsystem
   --keep-going        don't abort the sweep when a cell panics: the failed cell
                       becomes a structured {cell, error} slot in the results
@@ -166,7 +159,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut trace: Option<u64> = None;
     let mut timeline: Option<u64> = None;
     let mut profile: Option<u64> = None;
-    let mut batch: Option<usize> = None;
     let mut fail_fast: Option<bool> = None;
     let mut threads: Option<usize> = None;
     let mut capture: Option<String> = None;
@@ -185,7 +177,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
             "--trace" => trace = Some(DEFAULT_TRACE_SAMPLE),
             "--timeline" => timeline = Some(DEFAULT_TIMELINE_EPOCH),
             "--profile" => profile = Some(DEFAULT_PROFILE_K),
-            "--batch" => batch = Some(DEFAULT_BATCH),
             "--invariants" => fail_fast = Some(true),
             "--threads" => {
                 let value = args
@@ -217,17 +208,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
                         return Err("--profile needs a positive K".to_owned());
                     }
                     profile = Some(k);
-                } else if let Some(n) = arg.strip_prefix("--batch=") {
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("invalid --batch value: {n}"))?;
-                    if n == 0 {
-                        return Err(
-                            "--batch needs a positive N (omit the flag for the scalar loop)"
-                                .to_owned(),
-                        );
-                    }
-                    batch = Some(n);
                 } else if let Some(mode) = arg.strip_prefix("--invariants=") {
                     fail_fast = Some(match mode {
                         "fail" => true,
@@ -280,12 +260,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     });
     cfg.timeline_fail_fast = fail_fast.unwrap_or(false);
     cfg.profile_top_k = profile.unwrap_or_else(|| env_u64("BF_PROFILE").unwrap_or(0));
-    cfg.batch = batch.unwrap_or_else(|| {
-        std::env::var("BF_BATCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    });
     if capture.is_some() && replay.is_some() {
         return Err("--capture and --replay are mutually exclusive".to_owned());
     }
@@ -328,7 +302,6 @@ pub fn parse_args() -> BenchArgs {
             set_run_context(RunContext {
                 faults_spec: args.faults_spec.clone(),
                 threads: args.threads,
-                batch: args.cfg.batch,
                 heartbeat: args.heartbeat.clone().map(PathBuf::from),
                 heartbeat_every: args.cfg.heartbeat_every,
                 config: Some(args.cfg.to_value()),
@@ -358,15 +331,13 @@ pub fn config_from_args() -> ExperimentConfig {
 /// Binaries with their own parsers (`bf_replay`) call
 /// [`set_run_context`] themselves; a process that never sets one (unit
 /// tests, library use) stamps the defaults: no faults, zero
-/// threads/batch, heartbeat off.
+/// threads, heartbeat off.
 #[derive(Debug, Default)]
 pub struct RunContext {
     /// Raw fault spec string (`--faults`/`BF_FAULTS`) or `None`.
     pub faults_spec: Option<String>,
     /// Resolved sweep worker count (volatile — affects only wall clock).
     pub threads: usize,
-    /// SoA batch size (volatile — results are byte-identical across it).
-    pub batch: usize,
     /// Heartbeat NDJSON sink, when live observability is on.
     pub heartbeat: Option<PathBuf>,
     /// In-cell progress interval in accesses (0 = no progress events).
@@ -390,10 +361,7 @@ pub fn set_run_context(ctx: RunContext) {
     if let Some(path) = &ctx.heartbeat {
         let mut manifest = stable_manifest(ctx.config.as_ref(), ctx.faults_spec.as_deref());
         if let Value::Object(map) = &mut manifest {
-            map.insert(
-                "volatile".to_owned(),
-                volatile_manifest(ctx.threads, ctx.batch),
-            );
+            map.insert("volatile".to_owned(), volatile_manifest(ctx.threads));
         }
         if let Err(e) = bf_telemetry::heartbeat::arm(path, manifest, ctx.heartbeat_every) {
             eprintln!("error: opening heartbeat file {}: {e}", path.display());
@@ -438,7 +406,7 @@ fn stable_manifest(config: Option<&Value>, faults_spec: Option<&str>) -> Value {
 /// `bf_report` diff/check/gates skip wholesale — so unarmed runs (and
 /// therefore the committed baselines) never contain host-dependent
 /// bytes.
-fn volatile_manifest(threads: usize, batch: usize) -> Value {
+fn volatile_manifest(threads: usize) -> Value {
     let started_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| Value::U64(d.as_secs()))
@@ -448,7 +416,6 @@ fn volatile_manifest(threads: usize, batch: usize) -> Value {
         ("git_rev", git_rev()),
         ("started_unix", started_unix),
         ("threads", Value::U64(threads as u64)),
-        ("batch", Value::U64(batch as u64)),
     ])
 }
 
@@ -499,10 +466,7 @@ pub fn stamp_manifest(doc: &Value) -> Value {
     let mut manifest = stable_manifest(doc.get("config"), ctx.faults_spec.as_deref());
     if bf_telemetry::heartbeat::armed() {
         if let Value::Object(map) = &mut manifest {
-            map.insert(
-                "volatile".to_owned(),
-                volatile_manifest(ctx.threads, ctx.batch),
-            );
+            map.insert("volatile".to_owned(), volatile_manifest(ctx.threads));
         }
     }
     let mut doc = doc.clone();
@@ -891,24 +855,6 @@ mod tests {
         assert!(
             parse(["--profile=0".to_string()].into_iter()).is_err(),
             "a zero-capacity sketch is rejected, not silently off"
-        );
-    }
-
-    #[test]
-    fn batch_flag_parses() {
-        let args = parse_ok(&["--quick", "--batch"]);
-        assert_eq!(args.cfg.batch, DEFAULT_BATCH);
-
-        let args = parse_ok(&["--batch=7", "--quick"]);
-        assert_eq!(args.cfg.batch, 7);
-
-        let args = parse_ok(&["--quick"]);
-        assert_eq!(args.cfg.batch, 0, "the scalar loop is the default");
-
-        assert!(parse(["--batch=abc".to_string()].into_iter()).is_err());
-        assert!(
-            parse(["--batch=0".to_string()].into_iter()).is_err(),
-            "a zero batch is rejected, not silently scalar"
         );
     }
 

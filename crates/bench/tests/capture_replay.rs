@@ -67,89 +67,6 @@ fn live_and_replayed_results_documents_are_byte_identical() {
 }
 
 #[test]
-fn batched_replay_documents_match_the_live_run_for_every_batch_size() {
-    let mut cfg = quick();
-    cfg.timeline_every = 2048;
-    let app = CaptureApp::from_name("mongodb").unwrap();
-    let mode = Mode::babelfish();
-    let trace = temp_path("fig10-batched-e2e.bft");
-
-    let live = capture_to_file(mode, app, &cfg, &trace).expect("live capture");
-    let live_doc = serde_json::to_string(&window_doc(mode, app.name(), &cfg, &live)).unwrap();
-
-    // Batched replay groups consecutive same-process records into SoA
-    // runs; any run length must reproduce the live document — counters,
-    // telemetry, and timeline — byte for byte.
-    for batch in [1, 7, 64] {
-        let outcome = replay_file(
-            &trace,
-            ReplayOptions {
-                batch,
-                timeline_every: cfg.timeline_every,
-                ..Default::default()
-            },
-        )
-        .expect("batched replay");
-        let replay_doc = serde_json::to_string(&window_doc(
-            outcome.mode,
-            outcome.app,
-            &outcome.config,
-            &outcome.result,
-        ))
-        .unwrap();
-        assert!(
-            replay_doc == live_doc,
-            "batch={batch}: batched replay diverged from the live document"
-        );
-    }
-
-    std::fs::remove_file(&trace).ok();
-}
-
-#[test]
-fn batched_recapture_reproduces_the_trace_byte_for_byte() {
-    let cfg = quick();
-    let app = CaptureApp::from_name("fio").unwrap();
-    let mode = Mode::babelfish();
-    let first = temp_path("batched-roundtrip-1.bft");
-    let second = temp_path("batched-roundtrip-2.bft");
-
-    capture_to_file(mode, app, &cfg, &first).expect("live capture");
-
-    // The batched replay tees whole runs into the recapture sink via
-    // `access_run`; the record stream written must still match the
-    // original record-at-a-time capture exactly.
-    let outcome = {
-        let recapture =
-            CaptureFile::create(&second, &capture_meta(mode, app, &quick())).expect("recapture");
-        let outcome = replay_file(
-            &first,
-            ReplayOptions {
-                batch: 64,
-                recapture: Some(recapture.sink()),
-                ..Default::default()
-            },
-        )
-        .expect("batched replay");
-        recapture.finish().expect("finishing recapture");
-        outcome
-    };
-    assert!(outcome.records_replayed > 0);
-
-    let a = std::fs::read(&first).unwrap();
-    let b = std::fs::read(&second).unwrap();
-    assert!(
-        a == b,
-        "capture -> batched replay -> capture must be byte-identical ({} vs {} bytes)",
-        a.len(),
-        b.len()
-    );
-
-    std::fs::remove_file(&first).ok();
-    std::fs::remove_file(&second).ok();
-}
-
-#[test]
 fn live_and_replayed_profiles_are_byte_identical() {
     if !bf_telemetry::enabled() {
         return;

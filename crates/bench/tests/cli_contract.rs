@@ -1,6 +1,9 @@
 //! The shared command-line contract, pinned across every binary in the
 //! crate: `--help` (and `-h`) exits 0 and prints a usage text on
 //! stdout; an unknown flag exits 2 and names the offender on stderr.
+//! The removed `--batch` option counts as unknown: a bin that silently
+//! ignored it would run a different experiment than the caller asked
+//! for.
 //! One table drives all bins so a new binary that forgets the contract
 //! fails here, not in someone's CI script.
 
@@ -11,7 +14,6 @@ const BINS: &[(&str, &str)] = &[
     ("ablations", env!("CARGO_BIN_EXE_ablations")),
     ("bf_replay", env!("CARGO_BIN_EXE_bf_replay")),
     ("bf_report", env!("CARGO_BIN_EXE_bf_report")),
-    ("bf_throughput", env!("CARGO_BIN_EXE_bf_throughput")),
     ("bf_top", env!("CARGO_BIN_EXE_bf_top")),
     ("bringup_time", env!("CARGO_BIN_EXE_bringup_time")),
     ("colocation_sweep", env!("CARGO_BIN_EXE_colocation_sweep")),
@@ -59,21 +61,23 @@ fn every_bin_exits_zero_on_help_with_usage_text() {
 #[test]
 fn every_bin_exits_two_on_unknown_flags() {
     for (name, exe) in BINS {
-        let out = Command::new(exe)
-            .arg("--definitely-not-a-flag")
-            .output()
-            .unwrap_or_else(|e| panic!("running {name}: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{name} --definitely-not-a-flag exited {:?}, want 2\nstdout: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stdout),
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("definitely-not-a-flag"),
-            "{name} did not name the unknown flag on stderr:\n{stderr}"
-        );
+        for flag in ["--definitely-not-a-flag", "--batch", "--batch=64"] {
+            let out = Command::new(exe)
+                .arg(flag)
+                .output()
+                .unwrap_or_else(|e| panic!("running {name} {flag}: {e}"));
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{name} {flag} exited {:?}, want 2\nstdout: {}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stdout),
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(flag),
+                "{name} did not name the unknown flag {flag} on stderr:\n{stderr}"
+            );
+        }
     }
 }

@@ -55,61 +55,6 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn batched_sweep_is_byte_identical_to_scalar() {
-    // The batched SoA engine is a pure execution-strategy change: any
-    // batch size, on any worker count, must render the exact results
-    // document the scalar loop renders.
-    let scalar = tiny_config();
-    let scalar_doc =
-        serde_json::to_string(&fig10_doc(&scalar, &fig10_rows(&scalar, 1, true))).unwrap();
-    for batch in [1, 7, 64] {
-        let mut cfg = tiny_config();
-        cfg.batch = batch;
-        for threads in [1, 4] {
-            let doc =
-                serde_json::to_string(&fig10_doc(&cfg, &fig10_rows(&cfg, threads, true))).unwrap();
-            assert_eq!(
-                doc, scalar_doc,
-                "results JSON must not depend on --batch (batch={batch}, threads={threads})"
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_timeline_export_is_byte_identical_to_scalar() {
-    if !bf_telemetry::enabled() {
-        return;
-    }
-    // Epoch seals land on exact access boundaries, so even the timeline
-    // export — counter deltas per epoch, sealed at a specific core
-    // clock — must not move under batching.
-    let mut scalar = tiny_config();
-    scalar.timeline_every = 16;
-    let scalar_doc = serde_json::to_string(&bf_bench::timeline_doc(
-        "fig10_tlb",
-        &scalar,
-        &fig10_timeline_cells(&fig10_rows(&scalar, 1, true)),
-    ))
-    .unwrap();
-    for batch in [1, 7, 64] {
-        let mut cfg = tiny_config();
-        cfg.timeline_every = 16;
-        cfg.batch = batch;
-        let doc = serde_json::to_string(&bf_bench::timeline_doc(
-            "fig10_tlb",
-            &cfg,
-            &fig10_timeline_cells(&fig10_rows(&cfg, 4, true)),
-        ))
-        .unwrap();
-        assert_eq!(
-            doc, scalar_doc,
-            "timeline JSON must not depend on --batch (batch={batch})"
-        );
-    }
-}
-
-#[test]
 fn timeline_export_is_byte_identical_across_thread_counts() {
     if !bf_telemetry::enabled() {
         return;

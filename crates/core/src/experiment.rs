@@ -142,10 +142,6 @@ pub struct ExperimentConfig {
     /// Miss-attribution profiling: top-K capacity of the hot-region
     /// sketches (0 disables profiling).
     pub profile_top_k: u64,
-    /// Batched access-stream engine: SoA batch size for the measurement
-    /// windows (0 runs the scalar one-op-at-a-time loop). Results are
-    /// byte-identical either way; only wall-clock throughput changes.
-    pub batch: usize,
     /// Deterministic fault-injection plan (None runs clean). Armed plans
     /// perturb only the miss/walk/fault paths; unarmed runs are
     /// byte-identical to builds without the fault subsystem.
@@ -156,12 +152,11 @@ pub struct ExperimentConfig {
     pub heartbeat_every: u64,
 }
 
-/// Hand-written so the JSON surface stays exactly the pre-batch field
-/// set: `batch` selects an execution engine that produces byte-identical
-/// results, `faults` is a chaos-testing knob that is None in every
-/// committed document, and `heartbeat_every` only adds observer-side
-/// events, so none of them may perturb committed baselines or
-/// config-equality checks on emitted documents.
+/// Hand-written so the JSON surface stays exactly the committed field
+/// set: `faults` is a chaos-testing knob that is None in every committed
+/// document, and `heartbeat_every` only adds observer-side events, so
+/// neither may perturb committed baselines or config-equality checks on
+/// emitted documents.
 impl serde::Serialize for ExperimentConfig {
     fn to_value(&self) -> serde::Value {
         let mut map = std::collections::BTreeMap::new();
@@ -217,7 +212,6 @@ impl ExperimentConfig {
             timeline_every: 0,
             timeline_fail_fast: false,
             profile_top_k: 0,
-            batch: 0,
             faults: None,
             heartbeat_every: 0,
         }
@@ -239,7 +233,6 @@ impl ExperimentConfig {
             timeline_every: 0,
             timeline_fail_fast: false,
             profile_top_k: 0,
-            batch: 0,
             faults: None,
             heartbeat_every: 0,
         }
@@ -580,8 +573,7 @@ fn attach_app_workloads(
 }
 
 /// Warm-up, reset, measured window; returns the mean per-core clock
-/// delta over the measured window. [`ExperimentConfig::batch`] selects
-/// the scalar or the batched execution engine for both windows.
+/// delta over the measured window.
 fn run_measurement_window(machine: &mut Machine, cfg: &ExperimentConfig) -> Cycles {
     // Progress-target hint for the heartbeat: the windows retire
     // warmup + measure instructions on every core. Deterministic (pure
@@ -589,12 +581,12 @@ fn run_measurement_window(machine: &mut Machine, cfg: &ExperimentConfig) -> Cycl
     bf_telemetry::heartbeat::cell_target(
         (cfg.warmup_instructions + cfg.measure_instructions) * cfg.cores as u64,
     );
-    run_window(machine, cfg.warmup_instructions, cfg.batch);
+    machine.run_instructions(cfg.warmup_instructions);
     machine.reset_measurement();
     let clock_start: Vec<Cycles> = (0..cfg.cores)
         .map(|c| machine.core_clock(CoreId::new(c)))
         .collect();
-    run_window(machine, cfg.measure_instructions, cfg.batch);
+    machine.run_instructions(cfg.measure_instructions);
     // Drain any still-latent injected corruptions so the final stats /
     // telemetry snapshots see `fault.detected == fault.injected` (no-op
     // when faults are unarmed).
@@ -602,22 +594,12 @@ fn run_measurement_window(machine: &mut Machine, cfg: &ExperimentConfig) -> Cycl
     mean_clock_delta(machine, &clock_start)
 }
 
-/// One instruction-budget window through the engine `batch` selects.
-fn run_window(machine: &mut Machine, budget: u64, batch: usize) {
-    if batch > 0 {
-        machine.run_instructions_batched(budget, batch);
-    } else {
-        machine.run_instructions(budget);
-    }
-}
-
 /// Runs `app` live under `mode` with no capture attached and returns
 /// the window result plus the wall-clock seconds the warm-up + measured
 /// windows took (machine setup — image build, deploy, bring-up,
-/// prefault — is excluded). This is the `bf_throughput` probe: with
-/// [`ExperimentConfig::batch`] set the windows run through the batched
-/// engine, and the returned result must be byte-identical to the
-/// scalar run's.
+/// prefault — is excluded). The `bf_perf` benchmark times its live
+/// cells through this entry point; the returned result is
+/// byte-identical to an untimed run's.
 pub fn run_timed_window(
     mode: Mode,
     app: CaptureApp,
@@ -955,13 +937,12 @@ mod tests {
     fn config_serialization_excludes_chaos_knobs() {
         let mut cfg = ExperimentConfig::smoke_test();
         cfg.faults = FaultPlan::parse("tlb-bitflip@p=0.5").ok();
-        cfg.batch = 64;
         let clean = ExperimentConfig::smoke_test();
         use serde::Serialize as _;
         assert_eq!(
             cfg.to_value(),
             clean.to_value(),
-            "faults/batch must not leak into emitted documents"
+            "faults must not leak into emitted documents"
         );
     }
 

@@ -12,7 +12,7 @@
 
 use crate::experiment::{self, CaptureApp, ExperimentConfig, WindowResult};
 use bf_capture::{Record, SalvageReader, SalvageReport, TraceMeta, TraceReader, TraceWriter};
-use bf_sim::{CaptureSink, Machine, Mode};
+use bf_sim::{CaptureSink, Mode};
 use bf_types::{AccessKind, CoreId, Cycles, Pid, VirtAddr};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -109,38 +109,6 @@ impl CaptureSink for CaptureFile {
     fn reset(&mut self) {
         self.push(Record::Reset);
     }
-
-    fn access_run(
-        &mut self,
-        core: u32,
-        pid: Pid,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) {
-        // One lock acquisition for the whole run instead of one per
-        // record; the written stream is identical.
-        let mut inner = self.inner.lock().unwrap();
-        let CaptureFileInner { writer, error } = &mut *inner;
-        if error.is_some() {
-            return;
-        }
-        let Some(writer) = writer.as_mut() else {
-            return;
-        };
-        for i in 0..vas.len() {
-            if let Err(e) = writer.record(&Record::Access {
-                core,
-                pid,
-                va: vas[i],
-                kind: kinds[i],
-                instrs_before: instrs[i],
-            }) {
-                *error = Some(e);
-                return;
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for CaptureFile {
@@ -197,7 +165,6 @@ pub fn meta_config(meta: &TraceMeta) -> Result<(Mode, CaptureApp, ExperimentConf
         timeline_every: 0,
         timeline_fail_fast: false,
         profile_top_k: 0,
-        batch: 0,
         faults: None,
         heartbeat_every: 0,
     };
@@ -243,11 +210,6 @@ pub struct ReplayOptions {
     pub profile_top_k: u64,
     /// Tee the replayed stream into this sink (capture→replay→capture).
     pub recapture: Option<Box<dyn CaptureSink>>,
-    /// Batched replay: feed runs of up to this many consecutive
-    /// same-core/same-pid access records through the machine's batched
-    /// engine (0 = scalar record-at-a-time replay). Output is
-    /// byte-identical either way; only wall-clock throughput changes.
-    pub batch: usize,
     /// Salvage mode ([`replay_file`] only): read the trace through the
     /// resynchronizing [`SalvageReader`] instead of the strict reader,
     /// so a damaged file replays its recoverable records and the
@@ -273,9 +235,6 @@ pub struct ReplayOutcome {
     pub result: WindowResult,
     /// Records fed into the machine (excludes the reset marker).
     pub records_replayed: u64,
-    /// Wall-clock seconds of the record-feed loop alone (machine setup
-    /// excluded) — what `bf_throughput` reports as replay throughput.
-    pub replay_seconds: f64,
     /// Access records a salvage replay dropped because they no longer
     /// resolved against the machine (addresses mangled by the trace
     /// damage the salvage pass skipped over). Always 0 on strict reads.
@@ -312,7 +271,6 @@ fn replay_records(
     cfg.timeline_every = options.timeline_every;
     cfg.timeline_fail_fast = options.timeline_fail_fast;
     cfg.profile_top_k = options.profile_top_k;
-    cfg.batch = options.batch;
     cfg.heartbeat_every = options.heartbeat_every;
 
     let (mut machine, deployed) = experiment::capture_setup(mode, app, &cfg);
@@ -321,34 +279,9 @@ fn replay_records(
         machine.attach_capture(sink);
     }
 
-    // Batched replay accumulates runs of consecutive same-core/same-pid
-    // access records and feeds whole columns to the machine; any other
-    // record (or a core/pid change, or a full batch) flushes the run
-    // first, preserving the exact recorded event order.
-    let batch = options.batch;
-    let mut run: Option<(u32, Pid)> = None;
-    let mut vas: Vec<VirtAddr> = Vec::with_capacity(batch);
-    let mut kinds: Vec<AccessKind> = Vec::with_capacity(batch);
-    let mut instrs: Vec<u32> = Vec::with_capacity(batch);
-    fn flush_run(
-        machine: &mut Machine,
-        run: &mut Option<(u32, Pid)>,
-        vas: &mut Vec<VirtAddr>,
-        kinds: &mut Vec<AccessKind>,
-        instrs: &mut Vec<u32>,
-    ) {
-        if let Some((core, pid)) = run.take() {
-            machine.replay_access_batch(core, pid, vas, kinds, instrs);
-            vas.clear();
-            kinds.clear();
-            instrs.clear();
-        }
-    }
-
     let mut clock_start: Option<Vec<Cycles>> = None;
     let mut records_replayed = 0u64;
     let mut records_dropped = 0u64;
-    let feed_start = std::time::Instant::now();
     for record in records {
         match record? {
             Record::Access {
@@ -366,28 +299,11 @@ fn replay_records(
                     records_dropped += 1;
                     continue;
                 }
-                if batch == 0 {
-                    machine.replay_access(core, pid, va, kind, instrs_before);
-                } else {
-                    if run != Some((core, pid)) || vas.len() >= batch {
-                        flush_run(&mut machine, &mut run, &mut vas, &mut kinds, &mut instrs);
-                        run = Some((core, pid));
-                    }
-                    vas.push(va);
-                    kinds.push(kind);
-                    instrs.push(instrs_before);
-                }
+                machine.replay_access(core, pid, va, kind, instrs_before);
             }
-            Record::Switch { core, cost } => {
-                flush_run(&mut machine, &mut run, &mut vas, &mut kinds, &mut instrs);
-                machine.replay_switch(core, cost);
-            }
-            Record::RequestEnd { cycles } => {
-                flush_run(&mut machine, &mut run, &mut vas, &mut kinds, &mut instrs);
-                machine.replay_request_end(cycles);
-            }
+            Record::Switch { core, cost } => machine.replay_switch(core, cost),
+            Record::RequestEnd { cycles } => machine.replay_request_end(cycles),
             Record::Reset => {
-                flush_run(&mut machine, &mut run, &mut vas, &mut kinds, &mut instrs);
                 machine.reset_measurement();
                 clock_start = Some(
                     (0..cfg.cores)
@@ -399,8 +315,6 @@ fn replay_records(
         }
         records_replayed += 1;
     }
-    flush_run(&mut machine, &mut run, &mut vas, &mut kinds, &mut instrs);
-    let replay_seconds = feed_start.elapsed().as_secs_f64();
     machine.take_capture();
 
     let exec_cycles = match clock_start {
@@ -423,7 +337,6 @@ fn replay_records(
             profile,
         },
         records_replayed,
-        replay_seconds,
         records_dropped,
         salvage: None,
     })

@@ -14,11 +14,9 @@ use bf_telemetry::{
     TraceEvent, TraceKind, DEFAULT_TIMELINE_CAPACITY,
 };
 use bf_tlb::group::TlbAccess;
-use bf_tlb::{BatchHit, BatchStop, InjectedFlip, LookupResult, TlbFill, TlbGroup};
-use bf_types::{
-    AccessKind, Ccid, CoreId, Cycles, PageFlags, PageSize, PageTableLevel, Pcid, Pid, VirtAddr,
-};
-use bf_workloads::{AccessBatch, BatchEnd, Op, Workload};
+use bf_tlb::{InjectedFlip, LookupResult, TlbFill, TlbGroup};
+use bf_types::{AccessKind, CoreId, Cycles, PageFlags, PageSize, PageTableLevel, Pid, VirtAddr};
+use bf_workloads::{Op, Workload};
 
 struct CoreState {
     tlbs: TlbGroup,
@@ -59,22 +57,6 @@ pub trait CaptureSink: Send {
     fn request_end(&mut self, cycles: Cycles);
     /// [`Machine::reset_measurement`] ran (warm-up → measured window).
     fn reset(&mut self);
-    /// A run of consecutive accesses on `core` by `pid`, given as
-    /// parallel columns. Equivalent to calling [`CaptureSink::access`]
-    /// once per element; sinks with per-call overhead (locks, I/O)
-    /// override this to amortize it across the run.
-    fn access_run(
-        &mut self,
-        core: u32,
-        pid: Pid,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) {
-        for i in 0..vas.len() {
-            self.access(core, pid, vas[i], kinds[i], instrs[i]);
-        }
-    }
 }
 
 /// Everything the machine tracks per attached process. Stored in a
@@ -87,20 +69,6 @@ struct ProcState {
     /// Core clock at the start of the in-flight request, once the first
     /// request boundary has been seen.
     request_start: Option<Cycles>,
-    /// Generated-but-unexecuted ops for the batched engine. Persists
-    /// across scheduling quanta and run windows: the scalar loop pulls
-    /// one op at a time, the batched loop pre-generates a run and
-    /// consumes it under the same per-op eligibility rules.
-    pending: AccessBatch,
-}
-
-/// Reusable scratch for the batched engine: the SoA probe column and the
-/// clean-hit results live on the machine and are recycled across chunks,
-/// so the steady state allocates nothing per access.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    accesses: Vec<TlbAccess>,
-    hits: Vec<BatchHit>,
 }
 
 /// Machine-level recording handles (`sim.*` names).
@@ -232,13 +200,11 @@ pub struct Machine {
     /// Registry state at the last [`Machine::reset_measurement`];
     /// [`Machine::telemetry_snapshot`] reports the delta since then.
     telemetry_baseline: Snapshot,
-    /// Batched-engine scratch columns (see [`BatchScratch`]).
-    scratch: BatchScratch,
     /// Heartbeat progress emitter (None unless
     /// [`SimConfig::heartbeat_every`] is set *and* the process-wide
-    /// heartbeat stream is armed). Shares the access-counting cap with
-    /// epoch timelines, so progress boundaries land on the exact same
-    /// access in the scalar, batched, and replay engines.
+    /// heartbeat stream is armed). Ticked once per access next to the
+    /// epoch timeline, so progress boundaries land on the exact same
+    /// access live and in replay.
     progress: Option<Box<ProgressState>>,
 }
 
@@ -349,7 +315,6 @@ impl Machine {
             faults: None,
             fault_armed: false,
             telemetry_baseline: registry.snapshot(),
-            scratch: BatchScratch::default(),
             progress: progress_on.then(|| {
                 Box::new(ProgressState {
                     every: config.heartbeat_every,
@@ -398,7 +363,7 @@ impl Machine {
     /// handled upstream). Call before driving the machine; the samplers
     /// are keyed on (plan seed, site, per-site sequence number), so two
     /// machines armed with the same plan inject identically regardless
-    /// of host threads or batching.
+    /// of host threads.
     ///
     /// When an epoch timeline is active, also registers the fault
     /// accounting invariants: `fault.detected == fault.injected` and
@@ -635,7 +600,6 @@ impl Machine {
             workload,
             core: core.index(),
             request_start: None,
-            pending: AccessBatch::default(),
         });
         self.cores[core.index()].active = true;
     }
@@ -790,33 +754,6 @@ impl Machine {
         self.sched.load(core) > 0
     }
 
-    /// Batched twin of [`Machine::run_instructions`]: the same outer
-    /// pick-the-minimum-clock-core loop, but each step executes a
-    /// *chunk* of ops on the chosen core through the batched engine
-    /// instead of a single op. Byte-identical to the scalar loop for
-    /// every `batch_max >= 1` — see `step_core_batched` for the
-    /// equivalence argument.
-    pub fn run_instructions_batched(&mut self, budget: u64, batch_max: usize) {
-        let batch_max = batch_max.max(1);
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| {
-                    c.active && c.instructions < budget && self.sched_has_work(CoreId::new(*i))
-                })
-                .min_by_key(|(_, c)| c.clock)
-                .map(|(i, _)| i);
-            match next {
-                Some(core) => {
-                    self.step_core_batched(core, budget, batch_max);
-                }
-                None => break,
-            }
-        }
-    }
-
     /// Executes one scheduling decision + one workload op on `core`.
     fn step_core(&mut self, core_index: usize) {
         let core_id = CoreId::new(core_index);
@@ -897,283 +834,6 @@ impl Machine {
         }
     }
 
-    /// Executes one scheduling decision plus a chunk of ops on `core`.
-    ///
-    /// The scalar loop re-evaluates core eligibility (`active`,
-    /// `instructions < budget`, runnable work) and re-picks the first
-    /// minimum-clock core before *every* op. A chunk stays equivalent
-    /// by (a) computing `limit` — the clock at which another core would
-    /// win that argmin, constant while this core runs since only this
-    /// core's state changes — and re-checking
-    /// `instructions < budget && clock < limit` before each op; and
-    /// (b) ending the chunk at every event that can change the
-    /// scheduling picture (context switch, process exit).
-    fn step_core_batched(&mut self, core_index: usize, budget: u64, batch_max: usize) {
-        let core_id = CoreId::new(core_index);
-        let pid = match self.sched.current(core_id) {
-            Some(pid) => pid,
-            None => match self.sched.tick(core_id, 0) {
-                SchedDecision::Switch { to, cost, .. } => {
-                    if let Some(sink) = self.capture.as_mut() {
-                        sink.switch(core_index as u32, cost);
-                    }
-                    self.cores[core_index].clock += cost;
-                    self.breakdown.switch_cycles += cost;
-                    to
-                }
-                SchedDecision::Idle => {
-                    self.cores[core_index].active = false;
-                    return;
-                }
-                SchedDecision::Continue => unreachable!("tick with no current cannot continue"),
-            },
-        };
-
-        // The clock bound at which another eligible core takes over the
-        // scalar argmin: `min_by_key` keeps the *first* minimum, so this
-        // core keeps the pick while its clock stays strictly below every
-        // earlier-indexed eligible core and at-or-below every
-        // later-indexed one.
-        let mut limit: Option<Cycles> = None;
-        for (j, c) in self.cores.iter().enumerate() {
-            if j != core_index
-                && c.active
-                && c.instructions < budget
-                && self.sched.load(CoreId::new(j)) > 0
-            {
-                let bound = if j < core_index { c.clock } else { c.clock + 1 };
-                limit = Some(limit.map_or(bound, |l| l.min(bound)));
-            }
-        }
-
-        // Phase-split execution (probe the whole run's TLB lookups ahead
-        // of the memory completions) is sound only when nothing can
-        // preempt mid-run: a lone runnable process (the quantum tick can
-        // never switch), no competing core, and no span tracing (spans
-        // need per-op begin/end interleaving).
-        let phased = limit.is_none() && self.sched.load(core_id) == 1 && !self.tracing;
-
-        let issue = self.config.issue_width.max(1);
-        let capture_on = self.capture.is_some();
-        // Deferred per-chunk telemetry: accesses since the last epoch
-        // flush and their `sim.instructions` delta. Flushed at epoch
-        // boundaries (so seals land on the exact scalar access) and at
-        // chunk end.
-        let mut count: u64 = 0;
-        let mut instr_delta: u64 = 0;
-        let mut cap = self.accesses_until_epoch();
-        // Per-chunk tagging-state cache: PCID/CCID are fixed for the
-        // process's lifetime; the MaskPage PC bit is constant per
-        // GB-region until a fault-path access lets the kernel edit
-        // MaskPages (detected via the walk counter below).
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
-        let mut region_cache: Option<(u64, Option<usize>)> = None;
-        // The scalar `step_core` executes its op unconditionally once it
-        // has a pid — there is no re-pick between a switch-in tick and
-        // the op it hands the CPU to. So the first op of this call runs
-        // before any eligibility re-check (the outer argmin already
-        // vouched for this core; only the switch-in cost could have
-        // moved its clock since).
-        let mut first = true;
-
-        loop {
-            // Scalar eligibility, re-checked before every op but the
-            // first.
-            if !first && self.cores[core_index].instructions >= budget {
-                break;
-            }
-            if !first && limit.is_some_and(|l| self.cores[core_index].clock >= l) {
-                break;
-            }
-
-            let Some(proc) = self
-                .procs
-                .get_mut(Self::proc_slot(pid))
-                .and_then(|p| p.as_mut())
-            else {
-                // Process without a workload (exited): drop it.
-                self.sched.remove(pid);
-                break;
-            };
-            if proc.pending.is_drained() {
-                proc.workload.next_batch(&mut proc.pending, batch_max);
-            }
-
-            if proc.pending.pos >= proc.pending.len() {
-                // Only the buffered end op is left.
-                match proc.pending.end.take() {
-                    Some(BatchEnd::RequestEnd) => {
-                        let clock = self.cores[core_index].clock;
-                        let start = proc.request_start.unwrap_or(clock);
-                        proc.request_start = Some(clock);
-                        if clock > start {
-                            if let Some(sink) = self.capture.as_mut() {
-                                sink.request_end(clock - start);
-                            }
-                            self.latency.record(clock - start);
-                            self.telem.request_cycles.record(clock - start);
-                        }
-                        first = false;
-                        continue;
-                    }
-                    Some(BatchEnd::Done) => {
-                        self.exit_process(pid);
-                        break;
-                    }
-                    // Defensive: a refill that produced nothing.
-                    None => break,
-                }
-            }
-
-            // Move the batch out of the slab so the executors below can
-            // borrow the machine mutably alongside its columns.
-            let mut pending = std::mem::take(&mut proc.pending);
-            let mut chunk_over = false;
-
-            if phased {
-                let start = pending.pos;
-                // Budget prefix: the scalar loop re-checks
-                // `instructions < budget` before each op, so the run may
-                // only hold ops that still start within budget; cap also
-                // stops the run at the next epoch boundary.
-                let mut cum = self.cores[core_index].instructions;
-                let mut len = 0usize;
-                while start + len < pending.len() && cum < budget && (len as u64) < cap {
-                    cum += pending.instrs[start + len] as u64 + 1;
-                    len += 1;
-                }
-                if len == 0 {
-                    chunk_over = true;
-                } else {
-                    first = false;
-                    let (executed, elapsed) = self.execute_run_phased(
-                        core_index,
-                        pid,
-                        pcid,
-                        ccid,
-                        &mut region_cache,
-                        &pending.vas[start..start + len],
-                        &pending.kinds[start..start + len],
-                        &pending.instrs[start..start + len],
-                    );
-                    if capture_on {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.access_run(
-                                core_index as u32,
-                                pid,
-                                &pending.vas[start..start + executed],
-                                &pending.kinds[start..start + executed],
-                                &pending.instrs[start..start + executed],
-                            );
-                        }
-                    }
-                    pending.pos = start + executed;
-                    if self.instrumented {
-                        self.epoch_tick_bulk(core_index, executed as u64);
-                        self.progress_tick(executed as u64);
-                    }
-                    cap = self.accesses_until_epoch();
-                    // A lone runnable process: the quantum tick can only
-                    // Continue, so one summed tick is exact.
-                    let _ = self.sched.tick(core_id, elapsed);
-                }
-            } else {
-                // Per-access mode: exact scalar op order (the DRAM bank
-                // queues make per-access clocks unboundable up front),
-                // still amortizing generation, state resolution, and
-                // telemetry ticks across the chunk.
-                while pending.pos < pending.len() {
-                    if !first && self.cores[core_index].instructions >= budget {
-                        chunk_over = true;
-                        break;
-                    }
-                    if !first && limit.is_some_and(|l| self.cores[core_index].clock >= l) {
-                        chunk_over = true;
-                        break;
-                    }
-                    first = false;
-                    let i = pending.pos;
-                    let va = pending.vas[i];
-                    let kind = pending.kinds[i];
-                    let instrs_before = pending.instrs[i];
-                    pending.pos += 1;
-                    if capture_on {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.access(core_index as u32, pid, va, kind, instrs_before);
-                        }
-                    }
-                    let compute = instrs_before as u64 / issue;
-                    self.cores[core_index].clock += compute;
-                    self.cores[core_index].instructions += instrs_before as u64 + 1;
-                    self.breakdown.compute_cycles += compute;
-                    let access_cycles = if self.tracing {
-                        // Spans need the full scalar path (per-access
-                        // sampling, tail close-out, epoch tick).
-                        self.telem.instructions.add(instrs_before as u64 + 1);
-                        self.execute_access(core_index, pid, va, kind)
-                    } else {
-                        instr_delta += instrs_before as u64 + 1;
-                        let region = va.raw() >> 30;
-                        let pc_bit = match region_cache {
-                            Some((r, bit)) if r == region => bit,
-                            _ => {
-                                let bit = self.kernel.pc_bit(pid, va);
-                                region_cache = Some((region, bit));
-                                bit
-                            }
-                        };
-                        let access = TlbAccess {
-                            va,
-                            pcid,
-                            ccid,
-                            pid,
-                            pc_bit,
-                            kind,
-                        };
-                        let walks_before = self.walks;
-                        let c = self.execute_access_inner(core_index, &access);
-                        if self.walks != walks_before {
-                            region_cache = None;
-                        }
-                        count += 1;
-                        if count == cap {
-                            self.flush_chunk(core_index, &mut count, &mut instr_delta);
-                            cap = self.accesses_until_epoch();
-                        }
-                        c
-                    };
-                    let decision = self.sched.tick(core_id, compute + access_cycles);
-                    if let SchedDecision::Switch { cost, .. } = decision {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.switch(core_index as u32, cost);
-                        }
-                        self.cores[core_index].clock += cost;
-                        self.breakdown.switch_cycles += cost;
-                        chunk_over = true;
-                        break;
-                    }
-                }
-            }
-
-            if let Some(slot) = self
-                .procs
-                .get_mut(Self::proc_slot(pid))
-                .and_then(|p| p.as_mut())
-            {
-                slot.pending = pending;
-            }
-            if chunk_over {
-                break;
-            }
-        }
-        // Flush whatever the per-access path deferred (the phased path
-        // flushes per sub-run).
-        self.flush_chunk(core_index, &mut count, &mut instr_delta);
-    }
-
     /// Executes one memory access through the full translation + memory
     /// pipeline, advancing the core clock. Returns the access latency.
     ///
@@ -1197,7 +857,7 @@ impl Machine {
                 self.trace_access_tail(core_index);
             }
             self.epoch_tick(core_index);
-            self.progress_tick(1);
+            self.progress_tick();
         }
         cycles
     }
@@ -1221,11 +881,11 @@ impl Machine {
     }
 
     /// The translation + memory pipeline for one prepared access:
-    /// L1 TLB → L2 TLB → [`Machine::finish_access`] (faults, walks, the
-    /// data access itself). Advances the core clock and returns the
-    /// access latency. Does *not* run the end-of-access instrumentation
-    /// tail (span close-out, epoch tick) — callers own that, so the
-    /// batched engine can sink it once per chunk.
+    /// L1 TLB → L2 TLB → CoW-hit fault handling → the page-walk/fault
+    /// convergence loop → the data access through the cache hierarchy.
+    /// Advances the core clock and returns the access latency. Does
+    /// *not* run the end-of-access instrumentation tail (span close-out,
+    /// epoch tick); [`Machine::execute_access`] owns that.
     fn execute_access_inner(&mut self, core_index: usize, access: &TlbAccess) -> Cycles {
         let mut cycles: Cycles = 0;
         let is_write = access.kind.is_write();
@@ -1296,37 +956,10 @@ impl Machine {
             }
         }
 
-        self.finish_access(
-            core_index,
-            access,
-            cycles,
-            translated,
-            faulted_cow_hit,
-            clock_base,
-        )
-    }
-
-    /// The back half of the access pipeline, after the TLB levels have
-    /// been consulted: CoW-hit fault handling, the page-walk/fault
-    /// convergence loop, the data access through the cache hierarchy,
-    /// and the final clock advance. The batched engine re-enters here
-    /// for the access its hoisted probe stopped on, carrying the probe's
-    /// TLB outcome, so the TLBs are never consulted twice.
-    fn finish_access(
-        &mut self,
-        core_index: usize,
-        access: &TlbAccess,
-        mut cycles: Cycles,
-        mut translated: Option<(bf_types::Ppn, PageSize)>,
-        faulted_cow_hit: bool,
-        clock_base: Cycles,
-    ) -> Cycles {
         let core_id = CoreId::new(core_index);
         let pid = access.pid;
         let va = access.va;
         let kind = access.kind;
-        let is_write = kind.is_write();
-        let tracing = self.tracing;
 
         // --- CoW fault raised from a TLB hit (Fig. 8 step 6) ---
         if faulted_cow_hit {
@@ -1377,9 +1010,6 @@ impl Machine {
                     // effect is the added walk latency.
                     walk_cycles += self.fault_walk_stall();
                 }
-                // Any kernel-side activity below may edit MaskPages, so
-                // the batched engine's per-run pc_bit cache must not
-                // outlive a walk (see `step_core_batched`).
                 if let Some(profiler) = self.profiler.as_deref_mut() {
                     profiler.record_walk(
                         access.ccid.raw(),
@@ -1516,65 +1146,20 @@ impl Machine {
         self.timeline = Some(state);
     }
 
-    /// Bulk twin of [`Machine::epoch_tick`]: counts `n` accesses at
-    /// once. Callers cap their chunks at
-    /// [`Machine::accesses_until_epoch`], so the boundary — with its
-    /// registry snapshot and invariant sweep — lands on exactly the
-    /// access where the scalar path would seal, at the same core clock.
-    fn epoch_tick_bulk(&mut self, core_index: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let Some(mut state) = self.timeline.take() else {
-            return;
-        };
-        if state.timeline.record_accesses(n) {
-            if self.fault_armed {
-                self.scrub_all_faults();
-            }
-            let snapshot = self.registry.snapshot();
-            state
-                .timeline
-                .seal_epoch(&snapshot, self.cores[core_index].clock);
-            self.check_machine_invariants(&mut state.invariants);
-            state.invariants.check(&snapshot);
-        }
-        self.timeline = Some(state);
-    }
-
-    /// How many accesses the batched engine may execute before it must
-    /// flush for an epoch or heartbeat-progress boundary (`u64::MAX`
-    /// with both off). Capping chunks here is what makes the bulk ticks
-    /// land on exactly the access where the scalar path would fire.
-    fn accesses_until_epoch(&self) -> u64 {
-        let epoch = self
-            .timeline
-            .as_ref()
-            .map_or(u64::MAX, |s| s.timeline.until_boundary().max(1));
-        let progress = self
-            .progress
-            .as_ref()
-            .map_or(u64::MAX, |p| p.next.saturating_sub(p.accesses).max(1));
-        epoch.min(progress)
-    }
-
-    /// Counts `n` accesses toward the heartbeat progress boundary and,
-    /// on crossing it, emits a `progress` event with the cumulative
+    /// Counts one access toward the heartbeat progress boundary and, on
+    /// reaching it, emits a `progress` event with the cumulative
     /// access/instruction/L2-miss counters. Off the hot path: reached
     /// only behind the `instrumented` gate, and a no-op unless the
     /// heartbeat is armed for this machine.
-    fn progress_tick(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
+    fn progress_tick(&mut self) {
         let Some(progress) = self.progress.as_mut() else {
             return;
         };
-        progress.accesses += n;
+        progress.accesses += 1;
         if progress.accesses < progress.next {
             return;
         }
-        progress.next = (progress.accesses / progress.every + 1) * progress.every;
+        progress.next += progress.every;
         let accesses = progress.accesses;
         let snapshot = self.registry.snapshot();
         bf_telemetry::heartbeat::progress(
@@ -1582,247 +1167,6 @@ impl Machine {
             snapshot.counter("sim.instructions"),
             snapshot.counter("tlb.l2.misses"),
         );
-    }
-
-    /// Flushes the batched engine's deferred per-chunk telemetry: the
-    /// summed `sim.instructions` delta first — so an epoch sealed by the
-    /// bulk tick snapshots it — then the access count.
-    fn flush_chunk(&mut self, core_index: usize, count: &mut u64, instr_delta: &mut u64) {
-        if *instr_delta > 0 {
-            self.telem.instructions.add(*instr_delta);
-            *instr_delta = 0;
-        }
-        if self.instrumented {
-            self.epoch_tick_bulk(core_index, *count);
-            self.progress_tick(*count);
-        }
-        *count = 0;
-    }
-
-    /// Executes a same-pid run of accesses with every TLB probe hoisted
-    /// ahead of the memory completions. Sound only when nothing can
-    /// interleave mid-run — replay, or a live core whose scheduler has
-    /// exactly one runnable process and no competing core. Performs the
-    /// scalar `Op::Access` front-half accounting (compute cycles,
-    /// instruction counters) for each executed access. Stops after the
-    /// first access that needs the fault/walk machinery, because its
-    /// kernel-side effects can change what later probes in the run would
-    /// observe; unexecuted accesses stay with the caller. Returns the
-    /// executed count and the run's total elapsed cycles for the
-    /// caller's scheduler accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_run_phased(
-        &mut self,
-        core_index: usize,
-        pid: Pid,
-        pcid: Pcid,
-        ccid: Ccid,
-        region_cache: &mut Option<(u64, Option<usize>)>,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) -> (usize, Cycles) {
-        debug_assert!(
-            !self.tracing,
-            "the phased path carries no span instrumentation"
-        );
-        let core_id = CoreId::new(core_index);
-        let issue = self.config.issue_width.max(1);
-        let aslr = if self.config.mode.aslr_transformation() {
-            self.config.aslr_transform_cycles
-        } else {
-            0
-        };
-
-        // Build the SoA probe column, resolving the MaskPage PC bit once
-        // per GB region (clean accesses cannot change it).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.accesses.clear();
-        for i in 0..vas.len() {
-            let va = vas[i];
-            let region = va.raw() >> 30;
-            let pc_bit = match *region_cache {
-                Some((r, bit)) if r == region => bit,
-                _ => {
-                    let bit = self.kernel.pc_bit(pid, va);
-                    *region_cache = Some((region, bit));
-                    bit
-                }
-            };
-            scratch.accesses.push(TlbAccess {
-                va,
-                pcid,
-                ccid,
-                pid,
-                pc_bit,
-                kind: kinds[i],
-            });
-        }
-
-        // Phase 1: probe both TLB levels across the run (L1 refills
-        // land inline, so later probes see the exact scalar TLB state).
-        let stop = self.cores[core_index]
-            .tlbs
-            .probe_batch(&scratch.accesses, &mut scratch.hits);
-
-        // Phase 2: complete the clean hits in order through the memory
-        // hierarchy, accumulating the per-access breakdown charges.
-        let mut clock = self.cores[core_index].clock;
-        let mut elapsed: Cycles = 0;
-        let mut instr_sum: u64 = 0;
-        let mut compute_sum: Cycles = 0;
-        let mut tlb_sum: Cycles = 0;
-        let mut mem_sum: Cycles = 0;
-        for (i, hit) in scratch.hits.iter().enumerate() {
-            let compute = instrs[i] as u64 / issue;
-            clock += compute;
-            instr_sum += instrs[i] as u64 + 1;
-            compute_sum += compute;
-            let mut cycles = hit.tlb_cycles + if hit.l2_refill { aslr } else { 0 };
-            tlb_sum += cycles;
-            let paddr = hit.ppn.base_addr().offset(vas[i].page_offset(hit.size));
-            let raw_mem =
-                self.hierarchy
-                    .access(core_id, paddr, kinds[i], AccessOrigin::Core, clock + cycles);
-            let mem_cycles = ((raw_mem as f64) * (1.0 - self.config.memory_overlap))
-                .round()
-                .max(1.0) as Cycles;
-            cycles += mem_cycles;
-            mem_sum += mem_cycles;
-            clock += cycles;
-            elapsed += compute + cycles;
-        }
-        let clean = scratch.hits.len();
-        self.cores[core_index].clock = clock;
-        self.breakdown.compute_cycles += compute_sum;
-        self.breakdown.tlb_cycles += tlb_sum;
-        self.breakdown.memory_cycles += mem_sum;
-
-        // Phase 3: the access the probe stopped on re-enters the scalar
-        // back half with its probe outcome carried over — the TLBs are
-        // not consulted again.
-        let mut executed = clean;
-        if let Some(stop) = stop {
-            let i = clean;
-            let compute = instrs[i] as u64 / issue;
-            self.cores[core_index].clock += compute;
-            instr_sum += instrs[i] as u64 + 1;
-            self.breakdown.compute_cycles += compute;
-            let clock_base = self.cores[core_index].clock;
-            let (tlb_cycles, faulted_cow_hit) = match stop {
-                BatchStop::L1 { result, cycles } => {
-                    self.breakdown.tlb_cycles += cycles;
-                    (cycles, matches!(result, LookupResult::CowFault(_)))
-                }
-                BatchStop::L2 {
-                    result,
-                    l1_cycles,
-                    l2_cycles,
-                } => {
-                    let cycles = l1_cycles + aslr + l2_cycles;
-                    self.breakdown.tlb_cycles += cycles;
-                    (cycles, matches!(result, LookupResult::CowFault(_)))
-                }
-            };
-            let access_cycles = self.finish_access(
-                core_index,
-                &scratch.accesses[i],
-                tlb_cycles,
-                None,
-                faulted_cow_hit,
-                clock_base,
-            );
-            // The fault path may have edited MaskPages.
-            *region_cache = None;
-            elapsed += compute + access_cycles;
-            executed += 1;
-        }
-        self.cores[core_index].instructions += instr_sum;
-        self.telem.instructions.add(instr_sum);
-        self.scratch = scratch;
-        (executed, elapsed)
-    }
-
-    /// Replays a run of consecutive same-`(core, pid)` captured accesses
-    /// through the batched engine: one capture tee, per-run tagging
-    /// resolution, TLB probes hoisted ahead of the memory completions
-    /// (nothing interleaves inside a replayed run — captured switches
-    /// arrive as separate records), and epoch ticks bulked per chunk.
-    /// Byte-identical to calling [`Machine::replay_access`] per record.
-    pub fn replay_access_batch(
-        &mut self,
-        core: u32,
-        pid: Pid,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) {
-        assert!(
-            vas.len() == kinds.len() && vas.len() == instrs.len(),
-            "replay batch columns must be parallel"
-        );
-        if self.tracing {
-            // Spans need per-access begin/end interleaving.
-            for i in 0..vas.len() {
-                self.replay_access(core, pid, vas[i], kinds[i], instrs[i]);
-            }
-            return;
-        }
-        if let Some(sink) = self.capture.as_mut() {
-            sink.access_run(core, pid, vas, kinds, instrs);
-        }
-        let core_index = core as usize;
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
-        // Per-access amortized mode, not the phased probe: captured
-        // streams are walk-heavy enough that probing ahead stops every
-        // few accesses and the probe-column staging costs more than it
-        // saves. The run still amortizes the capture tee, the tagging
-        // resolution, the per-GB-region PC bit, and the telemetry ticks.
-        let issue = self.config.issue_width.max(1);
-        let mut region_cache: Option<(u64, Option<usize>)> = None;
-        let mut count: u64 = 0;
-        let mut instr_delta: u64 = 0;
-        let mut cap = self.accesses_until_epoch();
-        for i in 0..vas.len() {
-            let va = vas[i];
-            let compute = instrs[i] as u64 / issue;
-            self.cores[core_index].clock += compute;
-            self.cores[core_index].instructions += instrs[i] as u64 + 1;
-            self.breakdown.compute_cycles += compute;
-            instr_delta += instrs[i] as u64 + 1;
-            let region = va.raw() >> 30;
-            let pc_bit = match region_cache {
-                Some((r, bit)) if r == region => bit,
-                _ => {
-                    let bit = self.kernel.pc_bit(pid, va);
-                    region_cache = Some((region, bit));
-                    bit
-                }
-            };
-            let access = TlbAccess {
-                va,
-                pcid,
-                ccid,
-                pid,
-                pc_bit,
-                kind: kinds[i],
-            };
-            let walks_before = self.walks;
-            self.execute_access_inner(core_index, &access);
-            if self.walks != walks_before {
-                // The fault path may have edited MaskPages.
-                region_cache = None;
-            }
-            count += 1;
-            if count == cap {
-                self.flush_chunk(core_index, &mut count, &mut instr_delta);
-                cap = self.accesses_until_epoch();
-            }
-        }
-        self.flush_chunk(core_index, &mut count, &mut instr_delta);
     }
 
     /// Structural invariants that need machine state, not just counters:
@@ -2758,12 +2102,7 @@ mod tests {
     /// Identical serving setup on a fresh machine; returns the machine
     /// plus the two containers (deterministic across calls).
     fn serving_pair() -> (Machine, Container, Container) {
-        serving_pair_on(machine(Mode::babelfish()))
-    }
-
-    /// Builds the standard two-container MongoDB serving setup on a
-    /// caller-provided machine (deterministic across calls).
-    fn serving_pair_on(mut m: Machine) -> (Machine, Container, Container) {
+        let mut m = machine(Mode::babelfish());
         let kernel = m.kernel_mut();
         let mut runtime = ContainerRuntime::new(kernel);
         let image = runtime.build_image(kernel, &ImageSpec::data_serving("mongodb", 2 << 20));
@@ -2786,20 +2125,14 @@ mod tests {
         );
     }
 
-    /// Warm-up + measured window, scalar (`batch == 0`) or batched, with
-    /// a capture sink attached; returns the captured stream.
-    fn drive_live(m: &mut Machine, batch: usize) -> Vec<Event> {
+    /// Warm-up + measured window with a capture sink attached; returns
+    /// the captured stream.
+    fn drive_live(m: &mut Machine) -> Vec<Event> {
         let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         m.attach_capture(Box::new(VecSink(events.clone())));
-        if batch == 0 {
-            m.run_instructions(5_000);
-            m.reset_measurement();
-            m.run_instructions(15_000);
-        } else {
-            m.run_instructions_batched(5_000, batch);
-            m.reset_measurement();
-            m.run_instructions_batched(15_000, batch);
-        }
+        m.run_instructions(5_000);
+        m.reset_measurement();
+        m.run_instructions(15_000);
         m.take_capture();
         let captured = events.lock().unwrap().clone();
         captured
@@ -2829,172 +2162,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_multiplexed_run_matches_scalar_byte_for_byte() {
-        // Two containers on one core: load 2 keeps the engine in
-        // per-access mode, exercising switches and end-op buffering.
-        let (mut scalar, c1, c2) = serving_pair();
-        attach_serving(&mut scalar, 0, &c1, 1);
-        attach_serving(&mut scalar, 0, &c2, 2);
-        let scalar_events = drive_live(&mut scalar, 0);
-
-        for batch in [1usize, 7, 64] {
-            let (mut batched, b1, b2) = serving_pair();
-            attach_serving(&mut batched, 0, &b1, 1);
-            attach_serving(&mut batched, 0, &b2, 2);
-            let batched_events = drive_live(&mut batched, batch);
-            assert_same_state(&scalar, &batched, &format!("batch {batch}"));
-            assert_eq!(
-                scalar_events, batched_events,
-                "batch {batch}: capture stream"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_single_process_phased_run_matches_scalar() {
-        // One container, nothing else runnable anywhere: the engine
-        // takes the phase-split path (every TLB probe of a run hoisted
-        // ahead of the memory completions).
-        let (mut scalar, c1, _c2) = serving_pair();
-        attach_serving(&mut scalar, 0, &c1, 1);
-        let scalar_events = drive_live(&mut scalar, 0);
-
-        let (mut batched, b1, _b2) = serving_pair();
-        attach_serving(&mut batched, 0, &b1, 1);
-        let batched_events = drive_live(&mut batched, 64);
-        assert_same_state(&scalar, &batched, "phased batch 64");
-        assert_eq!(scalar_events, batched_events, "phased capture stream");
-    }
-
-    #[test]
-    fn batched_replay_matches_scalar_replay() {
-        // Capture a scalar run, then replay it twice — record by record
-        // and through the batched run-accumulating entry point.
-        let (mut live, c1, c2) = serving_pair();
-        attach_serving(&mut live, 0, &c1, 1);
-        attach_serving(&mut live, 0, &c2, 2);
-        let captured = drive_live(&mut live, 0);
-
-        let (mut scalar, _, _) = serving_pair();
-        for event in &captured {
-            match *event {
-                Event::Access(core, pid, va, kind, instrs) => {
-                    scalar.replay_access(core, pid, va, kind, instrs)
-                }
-                Event::Switch(core, cost) => scalar.replay_switch(core, cost),
-                Event::RequestEnd(cycles) => scalar.replay_request_end(cycles),
-                Event::Reset => scalar.reset_measurement(),
-            }
-        }
-
-        let (mut batched, _, _) = serving_pair();
-        let mut run: Option<(u32, Pid)> = None;
-        let mut vas: Vec<VirtAddr> = Vec::new();
-        let mut kinds: Vec<AccessKind> = Vec::new();
-        let mut instrs: Vec<u32> = Vec::new();
-        fn flush(
-            m: &mut Machine,
-            run: &mut Option<(u32, Pid)>,
-            vas: &mut Vec<VirtAddr>,
-            kinds: &mut Vec<AccessKind>,
-            instrs: &mut Vec<u32>,
-        ) {
-            if let Some((core, pid)) = run.take() {
-                m.replay_access_batch(core, pid, vas, kinds, instrs);
-                vas.clear();
-                kinds.clear();
-                instrs.clear();
-            }
-        }
-        for event in &captured {
-            match *event {
-                Event::Access(core, pid, va, kind, n) => {
-                    if run != Some((core, pid)) {
-                        flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                        run = Some((core, pid));
-                    }
-                    vas.push(va);
-                    kinds.push(kind);
-                    instrs.push(n);
-                }
-                Event::Switch(core, cost) => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.replay_switch(core, cost);
-                }
-                Event::RequestEnd(cycles) => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.replay_request_end(cycles);
-                }
-                Event::Reset => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.reset_measurement();
-                }
-            }
-        }
-        flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-        assert_same_state(&scalar, &batched, "batched replay");
-    }
-
-    #[test]
-    fn batched_timeline_epochs_match_scalar() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
-        // Epoch every 8 accesses with two multiplexed containers: the
-        // bulk ticks must seal on exactly the scalar boundaries, at the
-        // same clocks, with the same snapshots.
-        let (mut scalar, c1, c2) = serving_pair_on(timeline_machine(8, true));
-        attach_serving(&mut scalar, 0, &c1, 1);
-        attach_serving(&mut scalar, 0, &c2, 2);
-        scalar.run_instructions(5_000);
-        scalar.reset_measurement();
-        scalar.run_instructions(15_000);
-
-        let (mut batched, b1, b2) = serving_pair_on(timeline_machine(8, true));
-        attach_serving(&mut batched, 0, &b1, 1);
-        attach_serving(&mut batched, 0, &b2, 2);
-        batched.run_instructions_batched(5_000, 64);
-        batched.reset_measurement();
-        batched.run_instructions_batched(15_000, 64);
-
-        assert_same_state(&scalar, &batched, "timeline batch 64");
-        assert_eq!(
-            format!("{:?}", scalar.take_timeline()),
-            format!("{:?}", batched.take_timeline()),
-            "epoch timelines"
-        );
-    }
-
-    #[test]
     fn captured_run_replays_to_identical_state() {
         // Live run: two serving containers multiplexed on one core,
         // capture attached from the start.
         let (mut live, c1, c2) = serving_pair();
-        let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        live.attach_capture(Box::new(VecSink(events.clone())));
-        live.attach(
-            CoreId::new(0),
-            c1.pid(),
-            Box::new(bf_workloads::DataServing::new(
-                bf_workloads::ServingVariant::MongoDb,
-                c1.layout().clone(),
-                1,
-            )),
-        );
-        live.attach(
-            CoreId::new(0),
-            c2.pid(),
-            Box::new(bf_workloads::DataServing::new(
-                bf_workloads::ServingVariant::MongoDb,
-                c2.layout().clone(),
-                2,
-            )),
-        );
-        live.run_instructions(5_000);
-        live.reset_measurement();
-        live.run_instructions(15_000);
-        live.take_capture();
-        let captured: Vec<Event> = events.lock().unwrap().clone();
+        attach_serving(&mut live, 0, &c1, 1);
+        attach_serving(&mut live, 0, &c2, 2);
+        let captured = drive_live(&mut live);
         assert!(captured.iter().any(|e| matches!(e, Event::Reset)));
 
         // Replay against an identically-prepared machine, re-capturing.
@@ -3013,22 +2187,10 @@ mod tests {
         }
         replay.take_capture();
 
-        // Counters, clocks, and the re-captured stream all match.
-        assert_eq!(
-            format!("{:?}", live.stats()),
-            format!("{:?}", replay.stats())
-        );
-        for core in 0..live.config().cores {
-            assert_eq!(
-                live.core_clock(CoreId::new(core)),
-                replay.core_clock(CoreId::new(core)),
-                "core {core} clock"
-            );
-        }
+        // Counters, clocks, telemetry, and the re-captured stream all
+        // match.
+        assert_same_state(&live, &replay, "replay");
         assert_eq!(captured, *reevents.lock().unwrap());
-        if bf_telemetry::enabled() {
-            assert_eq!(live.telemetry_snapshot(), replay.telemetry_snapshot());
-        }
     }
 
     /// Strides a cold file mapping so every access takes the miss path.

@@ -21,11 +21,11 @@
 //! ## Determinism contract
 //!
 //! The stream is **deterministic modulo volatile fields** at any
-//! `--threads` / `--batch`: parallel sweep cells buffer their events in
-//! a per-cell reorder queue and the hub releases them in submission
-//! order, and in-cell `progress` boundaries ride the same
-//! access-counting cap as epoch timelines, so they land on exactly the
-//! same access in the scalar, batched, and replay engines. The only
+//! `--threads`: parallel sweep cells buffer their events in a per-cell
+//! reorder queue and the hub releases them in submission order, and
+//! in-cell `progress` boundaries are counted per access like epoch
+//! timelines, so they land on exactly the same access live and in
+//! replay. The only
 //! fields that may differ between two runs of the same configuration
 //! are the wall-clock ones — top-level `ts`, `eta_s`, `wall_s`, and the
 //! manifest's `volatile` sub-object — which [`strip_volatile_line`]

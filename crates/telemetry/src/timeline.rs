@@ -90,29 +90,6 @@ impl Timeline {
         self.since_boundary >= self.interval
     }
 
-    /// Accesses left before the next epoch boundary. The batched engine
-    /// sizes its chunks with this so a chunk never straddles a boundary
-    /// and [`Timeline::record_accesses`] stays exact.
-    #[inline]
-    pub fn until_boundary(&self) -> u64 {
-        self.interval.saturating_sub(self.since_boundary)
-    }
-
-    /// Counts `n` instrumented accesses at once — the bulk twin of
-    /// [`Timeline::record_access`]. Callers must keep
-    /// `n <= until_boundary()` so the boundary lands exactly where the
-    /// scalar path would put it; returns `true` when it does.
-    #[inline]
-    pub fn record_accesses(&mut self, n: u64) -> bool {
-        debug_assert!(
-            n <= self.until_boundary(),
-            "bulk access record would overshoot the epoch boundary"
-        );
-        self.total_accesses += n;
-        self.since_boundary += n;
-        self.since_boundary >= self.interval
-    }
-
     /// Seals the in-flight epoch against the current registry snapshot,
     /// merge-halving if the store is at capacity.
     pub fn seal_epoch(&mut self, now: &Snapshot, end_cycle: u64) {

@@ -58,7 +58,7 @@ pub mod opc;
 pub mod telemetry;
 pub mod tlb;
 
-pub use group::{BatchHit, BatchStop, TlbAccess, TlbGroup, TlbGroupConfig, TlbGroupStats};
+pub use group::{TlbAccess, TlbGroup, TlbGroupConfig, TlbGroupStats};
 pub use opc::OpcField;
 pub use telemetry::{register_invariants, TlbTelemetry};
 pub use tlb::{

@@ -39,6 +39,6 @@ pub mod zipf;
 
 pub use compute::{FioCompute, GraphCompute};
 pub use functions::{AccessDensity, FunctionKind, FunctionWorkload};
-pub use op::{AccessBatch, BatchEnd, CodeFetcher, Op, Workload};
+pub use op::{CodeFetcher, Op, Workload};
 pub use serving::{DataServing, ServingVariant};
 pub use zipf::ZipfianGenerator;

@@ -25,84 +25,6 @@ pub enum Op {
     Done,
 }
 
-/// How a batch of accesses ended: the first non-access op pulled from
-/// the generator, buffered in the sidecar instead of being executed
-/// inline (the simulator decides when the process is eligible to run
-/// it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchEnd {
-    /// The workload emitted [`Op::RequestEnd`].
-    RequestEnd,
-    /// The workload emitted [`Op::Done`].
-    Done,
-}
-
-/// A fixed-capacity run of accesses in SoA layout: parallel `vas[]` /
-/// `kinds[]` / `instrs[]` columns plus a one-op sidecar (`end`) for the
-/// non-access op that terminated generation, if any.
-///
-/// The struct-of-arrays split keeps the batched TLB probe loop walking
-/// one dense column at a time instead of striding over `Op` variants,
-/// and lets the simulator hand the address column straight to
-/// `TlbGroup::probe_batch`.
-#[derive(Debug, Clone, Default)]
-pub struct AccessBatch {
-    /// Addresses accessed, in program order.
-    pub vas: Vec<VirtAddr>,
-    /// Read / write / fetch per access.
-    pub kinds: Vec<AccessKind>,
-    /// Non-memory instructions preceding each access.
-    pub instrs: Vec<u32>,
-    /// The non-access op that ended generation, buffered for the
-    /// simulator's eligibility-checked outer loop.
-    pub end: Option<BatchEnd>,
-    /// Consumption cursor: accesses before `pos` have been executed.
-    pub pos: usize,
-}
-
-impl AccessBatch {
-    /// An empty batch with capacity for `max` accesses per column.
-    pub fn with_capacity(max: usize) -> Self {
-        AccessBatch {
-            vas: Vec::with_capacity(max),
-            kinds: Vec::with_capacity(max),
-            instrs: Vec::with_capacity(max),
-            end: None,
-            pos: 0,
-        }
-    }
-
-    /// Accesses generated into the batch (independent of `pos`).
-    pub fn len(&self) -> usize {
-        self.vas.len()
-    }
-
-    /// True when the batch holds no accesses.
-    pub fn is_empty(&self) -> bool {
-        self.vas.is_empty()
-    }
-
-    /// Unexecuted accesses remaining past the cursor.
-    pub fn remaining(&self) -> usize {
-        self.len() - self.pos
-    }
-
-    /// True when every access has been executed and no buffered end op
-    /// remains — the batch can be refilled.
-    pub fn is_drained(&self) -> bool {
-        self.pos >= self.len() && self.end.is_none()
-    }
-
-    /// Clears all columns and the sidecar for reuse.
-    pub fn clear(&mut self) {
-        self.vas.clear();
-        self.kinds.clear();
-        self.instrs.clear();
-        self.end = None;
-        self.pos = 0;
-    }
-}
-
 /// A deterministic op-stream generator bound to one container.
 ///
 /// Serving and compute workloads are infinite (the simulator stops them
@@ -110,38 +32,6 @@ impl AccessBatch {
 pub trait Workload {
     /// Produces the next operation.
     fn next_op(&mut self) -> Op;
-
-    /// Fills `out` (cleared first) with up to `max` consecutive
-    /// accesses, stopping early at the first non-access op, which lands
-    /// in `out.end`. The default simply drains [`Workload::next_op`];
-    /// because the default body is monomorphized per implementor behind
-    /// one virtual `next_batch` call, the inner `next_op` calls are
-    /// static and inlinable — one dispatch per batch instead of one per
-    /// op.
-    fn next_batch(&mut self, out: &mut AccessBatch, max: usize) {
-        out.clear();
-        while out.len() < max {
-            match self.next_op() {
-                Op::Access {
-                    va,
-                    kind,
-                    instrs_before,
-                } => {
-                    out.vas.push(va);
-                    out.kinds.push(kind);
-                    out.instrs.push(instrs_before);
-                }
-                Op::RequestEnd => {
-                    out.end = Some(BatchEnd::RequestEnd);
-                    break;
-                }
-                Op::Done => {
-                    out.end = Some(BatchEnd::Done);
-                    break;
-                }
-            }
-        }
-    }
 
     /// Human-readable name for reports.
     fn label(&self) -> &str;
@@ -302,68 +192,5 @@ mod tests {
     #[should_panic(expected = "at least one code page")]
     fn no_pages_panics() {
         let _ = CodeFetcher::new(vec![Region::empty()], 0.1);
-    }
-
-    struct Scripted {
-        ops: Vec<Op>,
-        at: usize,
-    }
-
-    impl Workload for Scripted {
-        fn next_op(&mut self) -> Op {
-            let op = self.ops[self.at % self.ops.len()];
-            self.at += 1;
-            op
-        }
-
-        fn label(&self) -> &str {
-            "scripted"
-        }
-    }
-
-    fn access(page: u64) -> Op {
-        Op::Access {
-            va: VirtAddr::new(page << 12),
-            kind: AccessKind::Read,
-            instrs_before: page as u32,
-        }
-    }
-
-    #[test]
-    fn next_batch_fills_soa_columns_and_stops_at_end_op() {
-        let mut w = Scripted {
-            ops: vec![access(1), access(2), Op::RequestEnd, access(3)],
-            at: 0,
-        };
-        let mut batch = AccessBatch::with_capacity(8);
-        w.next_batch(&mut batch, 8);
-        assert_eq!(batch.len(), 2, "generation stops at the RequestEnd");
-        assert_eq!(batch.vas[1], VirtAddr::new(2 << 12));
-        assert_eq!(batch.instrs, vec![1, 2]);
-        assert_eq!(batch.end, Some(BatchEnd::RequestEnd));
-        assert!(!batch.is_drained(), "buffered end op keeps the batch live");
-
-        batch.pos = batch.len();
-        batch.end = None;
-        assert!(batch.is_drained());
-
-        // Refill: the generator resumes after the consumed ops.
-        w.next_batch(&mut batch, 1);
-        assert_eq!(batch.len(), 1, "max caps the batch before any end op");
-        assert_eq!(batch.vas[0], VirtAddr::new(3 << 12));
-        assert_eq!(batch.end, None);
-        assert_eq!(batch.pos, 0, "clear resets the cursor");
-    }
-
-    #[test]
-    fn next_batch_buffers_done() {
-        let mut w = Scripted {
-            ops: vec![Op::Done],
-            at: 0,
-        };
-        let mut batch = AccessBatch::with_capacity(4);
-        w.next_batch(&mut batch, 4);
-        assert!(batch.is_empty());
-        assert_eq!(batch.end, Some(BatchEnd::Done));
     }
 }
