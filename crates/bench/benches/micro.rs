@@ -194,7 +194,7 @@ fn bench_machine_access(c: &mut Criterion) {
 }
 
 fn bench_telemetry(c: &mut Criterion) {
-    use bf_telemetry::{Registry, TraceEvent, TraceKind};
+    use bf_telemetry::Registry;
     println!(
         "telemetry compiled {} (compare against a --no-default-features run)",
         if bf_telemetry::enabled() { "IN" } else { "OUT" }
@@ -209,21 +209,6 @@ fn bench_telemetry(c: &mut Criterion) {
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
             black_box(&histogram).record(v >> 40)
-        })
-    });
-    group.bench_function("tracer_record", |b| {
-        let mut cycle = 0u64;
-        b.iter(|| {
-            cycle += 1;
-            registry.tracer().record(TraceEvent {
-                cycle,
-                cpu: 0,
-                kind: TraceKind::Custom,
-                ccid: 1,
-                pid: 1,
-                vpn: cycle,
-                detail: "bench",
-            })
         })
     });
     group.finish();

@@ -10,12 +10,9 @@ use babelfish::{AreaOverhead, Mode, ServingVariant, SpaceOverhead};
 use bf_bench::header;
 
 fn main() {
-    let cfg = {
-        let mut cfg = bf_bench::config_from_args();
-        // Overhead accounting needs structure, not instruction volume.
-        cfg.measure_instructions = cfg.measure_instructions.min(200_000);
-        cfg
-    };
+    let mut args = bf_bench::parse_args();
+    // Overhead accounting needs structure, not instruction volume.
+    args.cfg.measure_instructions = args.cfg.measure_instructions.min(200_000);
 
     header("Section VII-D: design-level overheads");
     let paper = SpaceOverhead::paper_design();
@@ -42,7 +39,7 @@ fn main() {
     );
 
     header("Measured from a live BabelFish run (MongoDB-like workload)");
-    let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, &cfg);
+    let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, &args.cfg);
     let kernel = machine.kernel();
     let store = kernel.store();
     let table_bytes = store.stats().live_tables * 4096;

@@ -35,7 +35,7 @@ fn row(label: &str, base: f64, tlb_only: f64, full: f64, paper: f64) {
 }
 
 fn main() {
-    let cfg = bf_bench::config_from_args();
+    let args = bf_bench::parse_args();
     header("Table II: fraction of time reduction due to L2 TLB effects");
     println!(
         "{:<14} {:>9} {:>8} {:>8}",
@@ -44,17 +44,17 @@ fn main() {
 
     let paper_serving = [0.77, 0.25, 0.81];
     for (variant, paper) in ServingVariant::ALL.into_iter().zip(paper_serving) {
-        let base = run_serving(Mode::Baseline, variant, &cfg).mean_latency;
-        let tlb = run_serving(Mode::babelfish_tlb_only(), variant, &cfg).mean_latency;
-        let full = run_serving(Mode::babelfish(), variant, &cfg).mean_latency;
+        let base = run_serving(Mode::Baseline, variant, &args.cfg).mean_latency;
+        let tlb = run_serving(Mode::babelfish_tlb_only(), variant, &args.cfg).mean_latency;
+        let full = run_serving(Mode::babelfish(), variant, &args.cfg).mean_latency;
         row(variant.name(), base, tlb, full, paper);
     }
 
     let paper_compute = [0.11, 0.29];
     for (kind, paper) in ComputeKind::ALL.into_iter().zip(paper_compute) {
-        let base = run_compute(Mode::Baseline, kind, &cfg).exec_cycles as f64;
-        let tlb = run_compute(Mode::babelfish_tlb_only(), kind, &cfg).exec_cycles as f64;
-        let full = run_compute(Mode::babelfish(), kind, &cfg).exec_cycles as f64;
+        let base = run_compute(Mode::Baseline, kind, &args.cfg).exec_cycles as f64;
+        let tlb = run_compute(Mode::babelfish_tlb_only(), kind, &args.cfg).exec_cycles as f64;
+        let full = run_compute(Mode::babelfish(), kind, &args.cfg).exec_cycles as f64;
         row(kind.name(), base, tlb, full, paper);
     }
 
@@ -62,9 +62,10 @@ fn main() {
         ("fn-dense", AccessDensity::Dense, 0.20),
         ("fn-sparse", AccessDensity::Sparse, 0.01),
     ] {
-        let base = run_functions(Mode::Baseline, density, &cfg).follower_mean_exec();
-        let tlb = run_functions(Mode::babelfish_tlb_only(), density, &cfg).follower_mean_exec();
-        let full = run_functions(Mode::babelfish(), density, &cfg).follower_mean_exec();
+        let base = run_functions(Mode::Baseline, density, &args.cfg).follower_mean_exec();
+        let tlb =
+            run_functions(Mode::babelfish_tlb_only(), density, &args.cfg).follower_mean_exec();
+        let full = run_functions(Mode::babelfish(), density, &args.cfg).follower_mean_exec();
         row(label, base, tlb, full, paper);
     }
 

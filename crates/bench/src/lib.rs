@@ -321,11 +321,6 @@ pub fn parse_args() -> BenchArgs {
     }
 }
 
-/// Back-compat sugar for binaries that only need the configuration.
-pub fn config_from_args() -> ExperimentConfig {
-    parse_args().cfg
-}
-
 /// Process-wide run identity recorded once at argument-parse time and
 /// consumed by [`write_results`] when it stamps the run manifest.
 /// Binaries with their own parsers (`bf_replay`) call

@@ -37,17 +37,6 @@
 //! bf-report timeline results/fig10_tlb-timeline-latest.json
 //! bf-report timeline results/fig10_tlb-timeline-latest.json old-timeline.json
 //! ```
-//!
-//! `time` wraps wall-clock comparisons of whole binaries:
-//!
-//! ```text
-//! bf-report time --out results/timing-fig10.json \
-//!     --run 'serial=./target/release/fig10_tlb --quick --threads 1' \
-//!     --run 't2=./target/release/fig10_tlb --quick --threads 2'
-//! ```
-//!
-//! which reports each duration plus every later run's speedup against
-//! the first (serial-first convention).
 
 use serde::Value;
 use std::collections::BTreeMap;
@@ -436,110 +425,6 @@ pub fn check(base: &Value, current: &Value, gates: &[Gate]) -> Result<Vec<GateRe
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e:?}"))
-}
-
-/// One wall-clock measurement from `bf-report time`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedRun {
-    /// Label from the `label=command...` specification.
-    pub name: String,
-    /// The command line that was executed.
-    pub command: String,
-    /// Wall-clock duration in seconds.
-    pub seconds: f64,
-}
-
-/// Builds the `results/timing-*.json` document: every run's wall-clock
-/// plus each later run's speedup relative to the *first* run (the
-/// convention: list the serial run first, parallel runs after).
-pub fn timing_doc(runs: &[TimedRun]) -> Value {
-    let rows = runs
-        .iter()
-        .map(|r| {
-            crate::json_object([
-                ("name", Value::String(r.name.clone())),
-                ("command", Value::String(r.command.clone())),
-                ("seconds", Value::F64(r.seconds)),
-            ])
-        })
-        .collect();
-    let mut speedups = BTreeMap::new();
-    if let Some(first) = runs.first() {
-        for run in &runs[1..] {
-            let speedup = if run.seconds > 0.0 {
-                first.seconds / run.seconds
-            } else {
-                f64::INFINITY
-            };
-            speedups.insert(run.name.clone(), Value::F64(speedup));
-        }
-    }
-    crate::json_object([
-        ("runs", Value::Array(rows)),
-        ("speedup_vs_first", Value::Object(speedups)),
-    ])
-}
-
-/// `bf-report time`: run each `label=command args...` spec, measure its
-/// wall-clock, print a table, and (with `--out`) write [`timing_doc`]
-/// JSON. Errors if any command exits non-zero.
-fn run_time(args: &[String]) -> Result<bool, String> {
-    let mut out = None;
-    let mut specs = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--run" => specs.push(iter.next().ok_or("--run needs 'label=command...'")?),
-            "--out" => out = Some(iter.next().ok_or("--out needs a path")?),
-            other => return Err(format!("unknown time argument '{other}'\n{USAGE}")),
-        }
-    }
-    if specs.is_empty() {
-        return Err(format!("time mode needs at least one --run\n{USAGE}"));
-    }
-    let mut runs = Vec::new();
-    for spec in specs {
-        let (name, command) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("--run '{spec}': expected label=command..."))?;
-        let words: Vec<&str> = command.split_whitespace().collect();
-        let [program, rest @ ..] = words.as_slice() else {
-            return Err(format!("--run '{spec}': empty command"));
-        };
-        let start = std::time::Instant::now();
-        let status = std::process::Command::new(program)
-            .args(rest)
-            .stdout(std::process::Stdio::null())
-            .status()
-            .map_err(|e| format!("running '{command}': {e}"))?;
-        let seconds = start.elapsed().as_secs_f64();
-        if !status.success() {
-            return Err(format!("'{command}' exited with {status}"));
-        }
-        println!("{name:<16} {seconds:>9.3}s  {command}");
-        runs.push(TimedRun {
-            name: name.to_owned(),
-            command: command.to_owned(),
-            seconds,
-        });
-    }
-    let doc = timing_doc(&runs);
-    if let Some(speedups) = doc.get("speedup_vs_first").and_then(|v| match v {
-        Value::Object(map) => Some(map),
-        _ => None,
-    }) {
-        for (name, speedup) in speedups {
-            if let Some(s) = speedup.as_f64() {
-                println!("{name:<16} {s:>8.2}x vs {}", runs[0].name);
-            }
-        }
-    }
-    if let Some(path) = out {
-        bf_telemetry::write_json(path.as_str(), &doc)
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(false)
 }
 
 /// Exit code when a trace fails block CRC / record-count validation.
@@ -1530,8 +1415,6 @@ pub fn run_cli(args: &[String]) -> i32 {
 const USAGE: &str = "usage: bf-report <subcommand> [args...]
 
 subcommands:
-  time      time --run 'label=command args...' [--run ...] [--out timing.json]
-            wall-clock several whole binaries and report speedups
   timeline  timeline <current.json> [<baseline.json>] [--metric NAME ...] [--top N]
             render + validate a <figure>-timeline export
   trace     trace <trace.bft> [<other.bft>] [--salvage]
@@ -1575,7 +1458,6 @@ fn exit_flag(failed: bool) -> i32 {
 
 fn run(args: &[String]) -> Result<i32, String> {
     match args.first().map(String::as_str).unwrap_or_default() {
-        "time" => return run_time(&args[1..]).map(exit_flag),
         "timeline" => return run_timeline(&args[1..]).map(exit_flag),
         "trace" => return run_trace(&args[1..]),
         "profile" => return run_profile(&args[1..]).map(exit_flag),
@@ -1895,46 +1777,6 @@ mod tests {
         assert!(!same[0].failed);
     }
 
-    #[test]
-    fn timing_doc_reports_speedup_vs_first() {
-        let runs = [
-            TimedRun {
-                name: "serial".into(),
-                command: "fig10 --threads 1".into(),
-                seconds: 4.0,
-            },
-            TimedRun {
-                name: "t4".into(),
-                command: "fig10 --threads 4".into(),
-                seconds: 1.0,
-            },
-        ];
-        let doc = timing_doc(&runs);
-        let flat = flatten(&doc);
-        assert_eq!(flat.get("runs.serial.seconds"), Some(&4.0));
-        assert_eq!(flat.get("runs.t4.seconds"), Some(&1.0));
-        assert_eq!(flat.get("speedup_vs_first.t4"), Some(&4.0));
-        assert!(
-            !flat.contains_key("speedup_vs_first.serial"),
-            "the reference run has no self-speedup"
-        );
-    }
-
-    #[test]
-    fn time_mode_measures_real_commands() {
-        // `true` exits 0 instantly; a failing command must error out.
-        let args: Vec<String> = ["time", "--run", "noop=true"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(run_cli(&args), 0);
-        let bad: Vec<String> = ["time", "--run", "boom=false"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(run_cli(&bad), 2);
-    }
-
     /// A minimal timeline document: one cell, three phases, with the
     /// given steady-state (`last`) MPKI.
     fn timeline_phase_doc(last_mpki: f64) -> Value {
@@ -2101,10 +1943,9 @@ mod tests {
         assert_eq!(run_cli(&["-h".to_owned()]), 0);
         assert_eq!(run_cli(&[]), 2);
         assert_eq!(run_cli(&["frobnicate".to_owned()]), 2);
+        assert_eq!(run_cli(&["time".to_owned()]), 2);
         // Every subcommand is in the usage text.
-        for sub in [
-            "time", "timeline", "trace", "diff", "check", "profile", "history",
-        ] {
+        for sub in ["timeline", "trace", "diff", "check", "profile", "history"] {
             assert!(USAGE.contains(sub), "usage is missing '{sub}'");
         }
     }

@@ -2,7 +2,8 @@
 //! volatile wall-clock fields stripped, the NDJSON emitted by a sweep
 //! is byte-identical regardless of the thread count the run used, and
 //! armed fault injection reports its fault events deterministically.
-//! Runs the real `fig10_tlb` binary end to end so
+//! The stream closes with exactly one `run_end`, after everything else.
+//! Runs the real figure binaries end to end so
 //! the claim covers the arming, manifest, progress-tick, and
 //! reorder-buffer plumbing exactly as users exercise it.
 
@@ -20,16 +21,16 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs `fig10_tlb --quick --heartbeat=...` in its own scratch
-/// directory (the results documents land there, not in the repo) and
-/// returns the heartbeat stream with the volatile fields stripped.
+/// Runs `<bin> --quick --heartbeat=...` in its own scratch directory
+/// (the results documents land there, not in the repo) and returns the
+/// heartbeat stream with the volatile fields stripped.
 /// `BF_HEARTBEAT_EVERY` is forced low enough that the quick cells emit
 /// in-cell progress snapshots — the part of the stream most exposed to
 /// thread skew.
-fn stripped_stream(name: &str, extra: &[&str]) -> Vec<String> {
+fn stripped_stream_of(bin: &str, name: &str, extra: &[&str]) -> Vec<String> {
     let dir = temp_dir(name);
     let heartbeat = dir.join("heartbeat.ndjson");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig10_tlb"))
+    let out = Command::new(bin)
         .arg("--quick")
         .arg(format!("--heartbeat={}", heartbeat.display()))
         .args(extra)
@@ -38,15 +39,19 @@ fn stripped_stream(name: &str, extra: &[&str]) -> Vec<String> {
         .env_remove("BF_FAULTS")
         .current_dir(&dir)
         .output()
-        .unwrap_or_else(|e| panic!("running fig10_tlb for {name}: {e}"));
+        .unwrap_or_else(|e| panic!("running {bin} for {name}: {e}"));
     assert!(
         out.status.success(),
-        "fig10_tlb {extra:?} failed:\n{}",
+        "{bin} {extra:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let lines = read_stripped(&heartbeat);
     std::fs::remove_dir_all(&dir).ok();
     lines
+}
+
+fn stripped_stream(name: &str, extra: &[&str]) -> Vec<String> {
+    stripped_stream_of(env!("CARGO_BIN_EXE_fig10_tlb"), name, extra)
 }
 
 fn read_stripped(heartbeat: &Path) -> Vec<String> {
@@ -119,5 +124,27 @@ fn armed_fault_runs_report_fault_events_deterministically() {
          run a: {} lines\nrun b: {} lines",
         first.len(),
         second.len()
+    );
+}
+
+/// Binaries without a sweep keep their parsed arguments (and with them
+/// the heartbeat guard) alive for the whole run, so `run_end` is
+/// written once, after every `progress` event.
+#[test]
+fn run_end_is_the_last_line_of_a_non_sweep_binary() {
+    let lines = stripped_stream_of(env!("CARGO_BIN_EXE_table2_tlb_fraction"), "table2", &[]);
+    assert!(
+        !events_of_kind(&lines, "progress").is_empty(),
+        "the quick run emitted no progress snapshots"
+    );
+    assert_eq!(
+        events_of_kind(&lines, "run_end").len(),
+        1,
+        "exactly one run_end"
+    );
+    let last = lines.last().expect("empty heartbeat stream");
+    assert!(
+        last.contains("\"event\":\"run_end\""),
+        "run_end is not the last line: {last}"
     );
 }

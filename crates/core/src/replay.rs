@@ -14,7 +14,7 @@ use crate::experiment::{self, CaptureApp, ExperimentConfig, WindowResult};
 use bf_capture::{Record, SalvageReader, SalvageReport, TraceMeta, TraceReader, TraceWriter};
 use bf_sim::{CaptureSink, Mode};
 use bf_types::{AccessKind, CoreId, Cycles, Pid, VirtAddr};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -358,20 +358,6 @@ pub fn replay_file(
         return Ok(outcome);
     }
     replay_trace(TraceReader::open(path)?, options)
-}
-
-/// Writes a sink-less copy of the records in `reader` to `writer` —
-/// used by tests and tooling to normalize/transcode traces.
-pub fn copy_records<R: Read, W: Write>(
-    reader: &mut TraceReader<R>,
-    writer: &mut TraceWriter<W>,
-) -> std::io::Result<u64> {
-    let mut copied = 0;
-    for record in reader {
-        writer.record(&record?)?;
-        copied += 1;
-    }
-    Ok(copied)
 }
 
 #[cfg(test)]

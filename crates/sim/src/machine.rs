@@ -11,7 +11,7 @@ use bf_pgtable::WalkResult;
 use bf_telemetry::{
     path_push, path_src, Counter, Histogram, InvariantMode, InvariantSet, PathSig, ProfileSnapshot,
     Profiler, Registry, SetCounts, Snapshot, SpanTracer, SpanTrack, Timeline, TimelineSnapshot,
-    TraceEvent, TraceKind, DEFAULT_TIMELINE_CAPACITY,
+    DEFAULT_TIMELINE_CAPACITY,
 };
 use bf_tlb::group::TlbAccess;
 use bf_tlb::{InjectedFlip, LookupResult, TlbFill, TlbGroup};
@@ -233,12 +233,7 @@ impl Machine {
     /// Builds the machine for `config`, with every component's counters
     /// routed into one fresh [`Registry`].
     pub fn new(config: SimConfig) -> Self {
-        Self::with_registry(config, Registry::new())
-    }
-
-    /// Builds the machine for `config` over a caller-provided registry
-    /// (e.g. one with a larger trace-ring capacity).
-    pub fn with_registry(config: SimConfig, registry: Registry) -> Self {
+        let registry = Registry::new();
         let spans = registry.spans();
         let tracing = config.trace_sample_every > 0 && bf_telemetry::enabled();
         if config.trace_sample_every > 0 {
@@ -980,7 +975,6 @@ impl Machine {
                 self.spans.set_now(clock_base + cycles);
             }
             self.count_fault(resolution.kind);
-            self.trace_fault(core_index, cycles, access, resolution.kind);
             self.apply_invalidations(&resolution.invalidations);
         }
 
@@ -1063,7 +1057,6 @@ impl Machine {
                     self.spans.set_now(clock_base + cycles);
                 }
                 self.count_fault(resolution.kind);
-                self.trace_fault(core_index, cycles, access, resolution.kind);
                 self.apply_invalidations(&resolution.invalidations);
             }
         }
@@ -1383,29 +1376,6 @@ impl Machine {
         }
     }
 
-    /// Emits one structured trace event for a serviced fault.
-    fn trace_fault(&self, core_index: usize, cycles: Cycles, access: &TlbAccess, kind: FaultKind) {
-        self.registry.tracer().record(TraceEvent {
-            cycle: self.cores[core_index].clock + cycles,
-            cpu: core_index as u32,
-            kind: if kind == FaultKind::Cow {
-                TraceKind::CowMark
-            } else {
-                TraceKind::Fault
-            },
-            ccid: access.ccid.raw(),
-            pid: access.pid.raw(),
-            vpn: access.va.vpn(PageSize::Size4K).raw(),
-            detail: match kind {
-                FaultKind::Minor => "minor",
-                FaultKind::Major => "major",
-                FaultKind::Cow => "cow",
-                FaultKind::SharedResolved => "shared-resolved",
-                FaultKind::Spurious => "spurious",
-            },
-        });
-    }
-
     /// Faults in every page of `pid`'s VMAs without charging time — the
     /// simulation equivalent of the paper's minute-long OS warm-up
     /// (Section VI), which leaves the steady-state working set resident
@@ -1509,6 +1479,29 @@ mod tests {
         // The cold access walks, faults, then re-walks successfully.
         assert_eq!(stats.walks, 2);
         assert_eq!(stats.major_faults, 1, "first touch reads from disk");
+    }
+
+    #[test]
+    fn fault_on_first_access_emits_an_os_fault_span_on_its_track() {
+        let mut m = Machine::new(
+            SimConfig::new(2, Mode::Baseline)
+                .with_frames(1 << 20)
+                .with_trace_sampling(1),
+        );
+        let (pid, va) = process_with_file(&mut m, 4);
+        m.execute_access(0, pid, va, AccessKind::Read);
+        let track = SpanTrack::new(m.kernel().process(pid).ccid().raw() as u32, pid.raw());
+        let fault_spans = m
+            .spans()
+            .events()
+            .iter()
+            .filter(|e| e.track == track && e.name.starts_with("os.fault."))
+            .count();
+        if bf_telemetry::enabled() {
+            assert!(fault_spans > 0, "the cold access's fault has a span");
+        } else {
+            assert_eq!(fault_spans, 0);
+        }
     }
 
     #[test]
@@ -1910,7 +1903,6 @@ mod tests {
                 faults,
                 stats.minor_faults + stats.major_faults + stats.cow_faults + stats.shared_resolved
             );
-            assert!(!m.registry().tracer().is_empty(), "faults were traced");
         } else {
             assert_eq!(snap.counter("tlb.l1d.hits"), 0);
         }

@@ -1,7 +1,5 @@
-//! Results-directory export: pretty JSON for whole documents, CSV for
-//! quick spreadsheet ingestion of snapshots.
+//! Results-directory export: pretty JSON for whole documents.
 
-use crate::snapshot::Snapshot;
 use serde::Serialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -31,57 +29,10 @@ pub fn write_json<T: Serialize + ?Sized>(path: impl AsRef<Path>, value: &T) -> s
     file.write_all(b"\n")
 }
 
-/// Renders a snapshot as CSV: one `counter` row per counter and one
-/// `histogram` row per histogram (summary statistics only — the full
-/// bucket vectors live in the JSON export).
-pub fn snapshot_to_csv(snapshot: &Snapshot) -> String {
-    let mut out = String::from("kind,name,value,count,sum,min,max,mean\n");
-    for (name, value) in &snapshot.counters {
-        out.push_str(&format!("counter,{},{},,,,,\n", csv_field(name), value));
-    }
-    for (name, hist) in &snapshot.histograms {
-        let min = if hist.count == 0 {
-            String::new()
-        } else {
-            hist.min.to_string()
-        };
-        out.push_str(&format!(
-            "histogram,{},,{},{},{},{},{}\n",
-            csv_field(name),
-            hist.count,
-            hist.sum,
-            min,
-            hist.max,
-            hist.mean(),
-        ));
-    }
-    out
-}
-
-/// Writes [`snapshot_to_csv`] output to `path`, creating parent
-/// directories as needed.
-pub fn write_csv(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, snapshot_to_csv(snapshot))
-}
-
-/// Quotes a CSV field if it contains a delimiter (metric names never
-/// should, but defend anyway).
-fn csv_field(raw: &str) -> String {
-    if raw.contains([',', '"', '\n']) {
-        format!("\"{}\"", raw.replace('"', "\"\""))
-    } else {
-        raw.to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::HistogramSnapshot;
+    use crate::snapshot::{HistogramSnapshot, Snapshot};
 
     fn sample_snapshot() -> Snapshot {
         let mut snapshot = Snapshot::default();
@@ -96,15 +47,6 @@ mod tests {
         hist.buckets[5] = 2;
         snapshot.histograms.insert("walk.cycles".into(), hist);
         snapshot
-    }
-
-    #[test]
-    fn csv_has_header_and_both_row_kinds() {
-        let csv = snapshot_to_csv(&sample_snapshot());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "kind,name,value,count,sum,min,max,mean");
-        assert_eq!(lines[1], "counter,tlb.l1d.hits,42,,,,,");
-        assert_eq!(lines[2], "histogram,walk.cycles,,2,30,10,20,15");
     }
 
     #[test]

@@ -72,11 +72,10 @@ impl InvariantSet {
         }
     }
 
-    /// A set pre-loaded with the telemetry-layer invariants: the trace
-    /// and span drop counters never decrease.
+    /// A set pre-loaded with the telemetry-layer invariant: the span
+    /// drop counter never decreases.
     pub fn with_builtins(mode: InvariantMode) -> Self {
         let mut set = Self::new(mode);
-        set.monotone_by("telemetry.trace_drops_monotone", |s| s.trace_dropped);
         set.monotone_by("telemetry.span_drops_monotone", |s| s.span_dropped);
         set
     }

@@ -2,23 +2,23 @@
 //!
 //! Observability subsystem for the BabelFish reproduction: hierarchical
 //! lock-free [`Counter`]s and log2-bucketed [`Histogram`]s behind a
-//! shared [`Registry`], a bounded ring-buffered event [`Tracer`], epoch
+//! shared [`Registry`], a sampled hierarchical [`SpanTracer`], epoch
 //! [`Snapshot`]s with delta/merge semantics, bounded merge-halving
-//! [`Timeline`]s with cross-counter [`InvariantSet`] checking, JSON/CSV
-//! exporters for `results/` artifacts, and a live-run [`heartbeat`]
+//! [`Timeline`]s with cross-counter [`InvariantSet`] checking, a JSON
+//! exporter for `results/` artifacts, and a live-run [`heartbeat`]
 //! NDJSON event stream for `bf_top` and CI.
 //!
 //! ## Zero overhead when off
 //!
 //! Everything hot-path lives behind the `on` cargo feature (enabled by
 //! default). With `--no-default-features` every handle ([`Counter`],
-//! [`Histogram`], [`Registry`], [`Tracer`]) becomes a zero-sized type
+//! [`Histogram`], [`Registry`], [`SpanTracer`]) becomes a zero-sized type
 //! and every record method an empty `#[inline(always)]` body, so
 //! instrumented call sites compile to the exact uninstrumented machine
 //! code. Consumer crates therefore need **no** `cfg` guards — they
 //! instrument unconditionally and let the feature decide.
 //!
-//! [`Snapshot`] and the exporters stay available in both modes (an
+//! [`Snapshot`] and the exporter stay available in both modes (an
 //! off-mode registry just snapshots empty), so export plumbing never
 //! needs gating either.
 //!
@@ -38,9 +38,8 @@ mod registry;
 mod snapshot;
 mod span;
 mod timeline;
-mod trace;
 
-pub use export::{results_path, snapshot_to_csv, write_csv, write_json};
+pub use export::{results_path, write_json};
 pub use invariants::{InvariantMode, InvariantSet, Violation};
 pub use metrics::{enabled, Counter, Histogram};
 pub use profiler::{
@@ -54,4 +53,3 @@ pub use span::{
     DEFAULT_SPAN_CAPACITY,
 };
 pub use timeline::{Epoch, PhaseSummary, Timeline, TimelineSnapshot, DEFAULT_TIMELINE_CAPACITY};
-pub use trace::{TraceEvent, TraceKind, Tracer};

@@ -8,7 +8,6 @@
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::Snapshot;
 use crate::span::SpanTracer;
-use crate::trace::Tracer;
 
 #[cfg(feature = "on")]
 mod enabled {
@@ -20,7 +19,6 @@ mod enabled {
     struct RegistryInner {
         counters: Mutex<BTreeMap<String, Counter>>,
         histograms: Mutex<BTreeMap<String, Histogram>>,
-        tracer: Tracer,
         spans: SpanTracer,
     }
 
@@ -31,19 +29,9 @@ mod enabled {
     pub struct Registry(Arc<RegistryInner>);
 
     impl Registry {
-        /// Creates an empty registry with the default trace capacity.
+        /// Creates an empty registry with the default span capacity.
         pub fn new() -> Self {
             Self::default()
-        }
-
-        /// Creates an empty registry whose event tracer and span tracer
-        /// each hold at most `capacity` events.
-        pub fn with_trace_capacity(capacity: usize) -> Self {
-            Self(Arc::new(RegistryInner {
-                tracer: Tracer::with_capacity(capacity),
-                spans: SpanTracer::with_capacity(capacity),
-                ..RegistryInner::default()
-            }))
         }
 
         /// The counter registered under `name`, creating it on first use.
@@ -58,11 +46,6 @@ mod enabled {
         pub fn histogram(&self, name: &str) -> Histogram {
             let mut histograms = self.0.histograms.lock().expect("registry lock poisoned");
             histograms.entry(name.to_owned()).or_default().clone()
-        }
-
-        /// The registry's event tracer.
-        pub fn tracer(&self) -> Tracer {
-            self.0.tracer.clone()
         }
 
         /// The registry's hierarchical span tracer.
@@ -91,7 +74,6 @@ mod enabled {
             Snapshot {
                 counters,
                 histograms,
-                trace_dropped: self.0.tracer.dropped(),
                 span_dropped: self.0.spans.dropped(),
             }
         }
@@ -112,11 +94,6 @@ mod disabled {
             Self
         }
 
-        /// Creates a no-op registry (capacity ignored).
-        pub fn with_trace_capacity(_capacity: usize) -> Self {
-            Self
-        }
-
         /// A no-op counter.
         #[inline(always)]
         pub fn counter(&self, _name: &str) -> Counter {
@@ -127,12 +104,6 @@ mod disabled {
         #[inline(always)]
         pub fn histogram(&self, _name: &str) -> Histogram {
             Histogram
-        }
-
-        /// A no-op tracer.
-        #[inline(always)]
-        pub fn tracer(&self) -> Tracer {
-            Tracer
         }
 
         /// A no-op span tracer.

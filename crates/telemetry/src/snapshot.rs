@@ -116,8 +116,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Trace events dropped because the ring buffer was full.
-    pub trace_dropped: u64,
     /// Span events dropped because the span buffer was full.
     pub span_dropped: u64,
 }
@@ -143,7 +141,6 @@ impl Snapshot {
         for (name, hist) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(hist);
         }
-        self.trace_dropped = self.trace_dropped.wrapping_add(other.trace_dropped);
         self.span_dropped = self.span_dropped.wrapping_add(other.span_dropped);
     }
 
@@ -171,7 +168,6 @@ impl Snapshot {
         Self {
             counters,
             histograms,
-            trace_dropped: self.trace_dropped.wrapping_sub(baseline.trace_dropped),
             span_dropped: self.span_dropped.wrapping_sub(baseline.span_dropped),
         }
     }

@@ -1,10 +1,6 @@
-//! Property-based tests for the snapshot algebra, the trace ring, and
-//! the span tracer.
+//! Property-based tests for the snapshot algebra and the span tracer.
 
-use bf_telemetry::{
-    validate_chrome_trace, Histogram, Registry, Snapshot, SpanTracer, SpanTrack, TraceEvent,
-    TraceKind, Tracer,
-};
+use bf_telemetry::{validate_chrome_trace, Histogram, Registry, Snapshot, SpanTracer, SpanTrack};
 use proptest::prelude::*;
 
 /// Builds a snapshot whose counters/histograms are populated from the
@@ -95,40 +91,6 @@ proptest! {
             merged.merge(&h.snapshot());
         }
         prop_assert_eq!(merged, undivided.snapshot());
-    }
-
-    /// The ring buffer keeps exactly `capacity` oldest events and counts
-    /// every drop: dropped == max(0, offered - capacity), always exact.
-    #[test]
-    fn ring_overflow_counts_every_drop(
-        capacity in 1usize..64,
-        offered in 0u64..200,
-    ) {
-        let tracer = Tracer::with_capacity(capacity);
-        for i in 0..offered {
-            tracer.record(TraceEvent {
-                cycle: i,
-                cpu: 0,
-                kind: TraceKind::Custom,
-                ccid: 0,
-                pid: 1,
-                vpn: i,
-                detail: "prop",
-            });
-        }
-        if bf_telemetry::enabled() {
-            prop_assert_eq!(tracer.dropped(), offered.saturating_sub(capacity as u64));
-            let events = tracer.events();
-            prop_assert_eq!(events.len() as u64, offered.min(capacity as u64));
-            // Drop-newest policy: the survivors are the earliest events.
-            for (i, event) in events.iter().enumerate() {
-                prop_assert_eq!(event.cycle, i as u64);
-            }
-        } else {
-            // Compiled out: the no-op ring records and drops nothing.
-            prop_assert_eq!(tracer.dropped(), 0);
-            prop_assert_eq!(tracer.events().len(), 0);
-        }
     }
 
     /// Random interleavings of begins/ends/instants/counters/retro-spans

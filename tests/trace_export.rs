@@ -66,15 +66,7 @@ fn untraced_run_records_no_spans() {
 fn snapshot_schema_pins_drop_counters() {
     let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, &traced_cfg());
     let snapshot = machine.telemetry_snapshot().to_value();
-    // The ring-drop and span-drop counts must survive into the JSON
-    // results documents (satellite: audit of the export schema).
-    assert!(
-        snapshot
-            .get("trace_dropped")
-            .and_then(|v| v.as_u64())
-            .is_some(),
-        "trace_dropped missing from snapshot export"
-    );
+    // The span-drop count must survive into the JSON results documents.
     assert!(
         snapshot
             .get("span_dropped")
@@ -82,4 +74,10 @@ fn snapshot_schema_pins_drop_counters() {
             .is_some(),
         "span_dropped missing from snapshot export"
     );
+    // Spans are the only event trace, so no other drop counter exists.
+    let serde::Value::Object(fields) = &snapshot else {
+        panic!("snapshot exports as an object: {snapshot:?}");
+    };
+    let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+    assert_eq!(keys, ["counters", "histograms", "span_dropped"]);
 }
