@@ -98,22 +98,16 @@ fn stripped_stream_is_byte_identical_across_threads() {
 fn armed_fault_runs_report_fault_events_deterministically() {
     let spec = format!("--faults={FAULT_SPEC}");
     let first = stripped_stream("faults-a", &["--threads=1", &spec]);
-    // Fault counters live in the telemetry snapshots; with telemetry
-    // compiled out the counters are ZST no-ops and no fault events
-    // exist — only the telemetry build proves the events are emitted.
-    #[cfg(feature = "telemetry")]
-    {
-        let faults = events_of_kind(&first, "faults");
-        assert!(
-            !faults.is_empty(),
-            "armed quick run reported no fault events"
-        );
-        // Non-zero injected counters actually made it into the report.
-        assert!(
-            faults.iter().any(|l| !l.contains("\"counters\":{}")),
-            "fault events carry no counters: {faults:?}"
-        );
-    }
+    let faults = events_of_kind(&first, "faults");
+    assert!(
+        !faults.is_empty(),
+        "armed quick run reported no fault events"
+    );
+    // Non-zero injected counters actually made it into the report.
+    assert!(
+        faults.iter().any(|l| !l.contains("\"counters\":{}")),
+        "fault events carry no counters: {faults:?}"
+    );
 
     // Same spec, different thread count: the whole stripped stream —
     // fault events included — must be reproduced byte for byte.

@@ -56,5 +56,5 @@ pub use bf_workloads as workloads;
 pub use bf_analytic::{AreaOverhead, SpaceOverhead, SramModel, TlbEntryLayout};
 pub use bf_containers::{BringupProfile, Container, ContainerRuntime, ImageSpec};
 pub use bf_os::{pagemap, AslrMode, Kernel, KernelConfig};
-pub use bf_sim::{FaultPlan, FaultStats, Machine, MachineStats, Mode, SimConfig};
+pub use bf_sim::{FaultPlan, Machine, MachineStats, Mode, SimConfig};
 pub use bf_workloads::{AccessDensity, FunctionKind, ServingVariant};

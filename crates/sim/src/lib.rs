@@ -35,5 +35,5 @@ pub mod stats;
 
 pub use bf_fault::FaultPlan;
 pub use config::{Mode, SimConfig};
-pub use machine::{CaptureSink, FaultStats, Machine, ALLOC_RETRY_BACKOFF};
+pub use machine::{CaptureSink, Machine, ALLOC_RETRY_BACKOFF};
 pub use stats::{LatencyStats, MachineStats, TranslationBreakdown};

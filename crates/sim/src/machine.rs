@@ -102,21 +102,6 @@ struct TimelineState {
 /// only architectural effect is the added latency).
 pub const ALLOC_RETRY_BACKOFF: Cycles = 1200;
 
-/// Ground-truth fault-injection accounting, independent of the
-/// telemetry feature (the `fault.*` registry counters mirror these when
-/// telemetry is compiled in).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Faults injected (bit-flips that landed on a resident entry, walk
-    /// stalls, allocation failures).
-    pub injected: u64,
-    /// Faults detected (consistency re-walks, walker timeouts, failed
-    /// allocations observed by the retry path).
-    pub detected: u64,
-    /// Faults recovered (invalidate+refill, bounded-backoff retry).
-    pub recovered: u64,
-}
-
 /// Deterministic fault-injection state, boxed off the hot path exactly
 /// like [`TimelineState`]: one pointer-sized `Option` in [`Machine`],
 /// touched only behind the hoisted `fault_armed` gate on the miss/walk/
@@ -135,9 +120,13 @@ struct FaultEngine {
     /// sweep both drain these, so `detected == injected` holds at every
     /// invariant check and no corrupt translation survives a boundary.
     pending: Vec<Vec<InjectedFlip>>,
-    counts: FaultStats,
+    /// Faults injected (bit-flips that landed on a resident entry, walk
+    /// stalls, allocation failures).
     injected: Counter,
+    /// Faults detected (consistency re-walks, walker timeouts, failed
+    /// allocations observed by the retry path).
     detected: Counter,
+    /// Faults recovered (invalidate+refill, bounded-backoff retry).
     recovered: Counter,
 }
 
@@ -170,9 +159,9 @@ pub struct Machine {
     /// pipeline stage of a sampled access completes.
     spans: SpanTracer,
     /// Hoisted span-sampling gate: true only when span tracing can ever
-    /// fire (`trace_sample_every > 0` and telemetry compiled in). Every
-    /// span call in the access pipeline sits behind this one predictable
-    /// branch, so the tracing-off hot path does no per-stage work.
+    /// fire (`trace_sample_every > 0`). Every span call in the access
+    /// pipeline sits behind this one predictable branch, so the
+    /// tracing-off hot path does no per-stage work.
     tracing: bool,
     /// Hoisted instrumentation gate: `tracing || timeline.is_some()`.
     /// The single end-of-access branch in `execute_access` tests this
@@ -180,10 +169,10 @@ pub struct Machine {
     /// had before timelines existed.
     instrumented: bool,
     /// Epoch timeline + invariant checking (None unless
-    /// [`SimConfig::timeline_every`] is set and telemetry compiled in).
+    /// [`SimConfig::timeline_every`] is set).
     timeline: Option<Box<TimelineState>>,
     /// Miss-attribution profiler (None unless
-    /// [`SimConfig::profile_top_k`] is set and telemetry compiled in).
+    /// [`SimConfig::profile_top_k`] is set).
     profiler: Option<Box<Profiler>>,
     /// Trace-capture sink (None unless [`Machine::attach_capture`] was
     /// called). Tees live in `step_core`/`reset_measurement`, never in
@@ -235,11 +224,11 @@ impl Machine {
     pub fn new(config: SimConfig) -> Self {
         let registry = Registry::new();
         let spans = registry.spans();
-        let tracing = config.trace_sample_every > 0 && bf_telemetry::enabled();
-        if config.trace_sample_every > 0 {
+        let tracing = config.trace_sample_every > 0;
+        if tracing {
             spans.set_sampling(config.trace_sample_every);
         }
-        let profiling = config.profile_top_k > 0 && bf_telemetry::enabled();
+        let profiling = config.profile_top_k > 0;
         let progress_on = config.heartbeat_every > 0 && bf_telemetry::heartbeat::armed();
         let cores = (0..config.cores)
             .map(|_| {
@@ -263,7 +252,7 @@ impl Machine {
         kernel.attach_telemetry(&registry);
         let mut hierarchy = CacheHierarchy::new(config.hierarchy);
         hierarchy.attach_telemetry(&registry);
-        let timeline_on = config.timeline_every > 0 && bf_telemetry::enabled();
+        let timeline_on = config.timeline_every > 0;
         let timeline = timeline_on.then(|| {
             let mode = if config.timeline_fail_fast {
                 InvariantMode::FailFast
@@ -382,7 +371,6 @@ impl Machine {
                 .map(|p| plan.sampler(SITE_ALLOC_FAIL, p))
                 .unwrap_or_else(SiteSampler::disarmed),
             pending: self.cores.iter().map(|_| Vec::new()).collect(),
-            counts: FaultStats::default(),
             injected: self.registry.counter("fault.injected"),
             detected: self.registry.counter("fault.detected"),
             recovered: self.registry.counter("fault.recovered"),
@@ -414,12 +402,6 @@ impl Machine {
         }
     }
 
-    /// Ground-truth fault accounting since arming (`None` when no
-    /// machine-level plan is armed).
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_deref().map(|engine| engine.counts)
-    }
-
     /// Scrubs one core's pending bit-flips: the consistency re-walk
     /// detects each injected corruption and recovers by invalidating the
     /// entry (the normal refill path restores a clean translation).
@@ -429,8 +411,6 @@ impl Machine {
     fn scrub_core_faults(engine: &mut FaultEngine, core_index: usize, core: &mut CoreState) {
         for flip in engine.pending[core_index].drain(..) {
             core.tlbs.scrub_l2_flip(&flip);
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.detected.incr();
             engine.recovered.incr();
         }
@@ -462,7 +442,6 @@ impl Machine {
         if let Some(selector) = engine.bitflip.fire() {
             if let Some(flip) = self.cores[core_index].tlbs.inject_l2_ppn_flip(selector) {
                 engine.pending[core_index].push(flip);
-                engine.counts.injected += 1;
                 engine.injected.incr();
             }
         }
@@ -477,9 +456,6 @@ impl Machine {
             return 0;
         };
         if engine.walk_stall.fire().is_some() {
-            engine.counts.injected += 1;
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.injected.incr();
             engine.detected.incr();
             engine.recovered.incr();
@@ -498,9 +474,6 @@ impl Machine {
             return 0;
         };
         if engine.alloc_fail.fire().is_some() {
-            engine.counts.injected += 1;
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.injected.incr();
             engine.detected.incr();
             engine.recovered.incr();
@@ -1207,8 +1180,7 @@ impl Machine {
     /// Finishes the miss-attribution profile for this measurement
     /// window, aggregating the per-core L2 TLB set counters into the
     /// snapshot, and consumes the profiler. `None` when
-    /// [`SimConfig::profile_top_k`] was zero (or telemetry is compiled
-    /// out).
+    /// [`SimConfig::profile_top_k`] was zero.
     pub fn take_profile(&mut self) -> Option<ProfileSnapshot> {
         let profiler = self.profiler.take()?;
         let mut sets = SetCounts::default();
@@ -1497,11 +1469,7 @@ mod tests {
             .iter()
             .filter(|e| e.track == track && e.name.starts_with("os.fault."))
             .count();
-        if bf_telemetry::enabled() {
-            assert!(fault_spans > 0, "the cold access's fault has a span");
-        } else {
-            assert_eq!(fault_spans, 0);
-        }
+        assert!(fault_spans > 0, "the cold access's fault has a span");
     }
 
     #[test]
@@ -1881,31 +1849,27 @@ mod tests {
         }
         let stats = m.stats();
         let snap = m.telemetry_snapshot();
-        if bf_telemetry::enabled() {
-            assert_eq!(snap.counter("tlb.l1d.hits"), stats.tlb.l1d.hits());
-            assert_eq!(snap.counter("tlb.l1d.misses"), stats.tlb.l1d.misses());
-            assert_eq!(snap.counter("tlb.l2.hits"), stats.tlb.l2.hits());
-            assert_eq!(snap.counter("tlb.l2.misses"), stats.tlb.l2.misses());
-            assert_eq!(snap.counter("sim.walks"), stats.walks);
-            // Prefault-free run: the kernel fault histograms cover every
-            // machine-observed fault.
-            let faults = snap
-                .histogram("os.fault.minor_cycles")
+        assert_eq!(snap.counter("tlb.l1d.hits"), stats.tlb.l1d.hits());
+        assert_eq!(snap.counter("tlb.l1d.misses"), stats.tlb.l1d.misses());
+        assert_eq!(snap.counter("tlb.l2.hits"), stats.tlb.l2.hits());
+        assert_eq!(snap.counter("tlb.l2.misses"), stats.tlb.l2.misses());
+        assert_eq!(snap.counter("sim.walks"), stats.walks);
+        // Prefault-free run: the kernel fault histograms cover every
+        // machine-observed fault.
+        let faults = snap
+            .histogram("os.fault.minor_cycles")
+            .map_or(0, |h| h.count)
+            + snap
+                .histogram("os.fault.major_cycles")
                 .map_or(0, |h| h.count)
-                + snap
-                    .histogram("os.fault.major_cycles")
-                    .map_or(0, |h| h.count)
-                + snap.histogram("os.fault.cow_cycles").map_or(0, |h| h.count)
-                + snap
-                    .histogram("os.fault.shared_resolved_cycles")
-                    .map_or(0, |h| h.count);
-            assert_eq!(
-                faults,
-                stats.minor_faults + stats.major_faults + stats.cow_faults + stats.shared_resolved
-            );
-        } else {
-            assert_eq!(snap.counter("tlb.l1d.hits"), 0);
-        }
+            + snap.histogram("os.fault.cow_cycles").map_or(0, |h| h.count)
+            + snap
+                .histogram("os.fault.shared_resolved_cycles")
+                .map_or(0, |h| h.count);
+        assert_eq!(
+            faults,
+            stats.minor_faults + stats.major_faults + stats.cow_faults + stats.shared_resolved
+        );
     }
 
     #[test]
@@ -1917,14 +1881,9 @@ mod tests {
         let snap = m.telemetry_snapshot();
         assert_eq!(snap.counter("sim.walks"), 0, "delta restarts at reset");
         m.execute_access(0, pid, va, AccessKind::Read);
-        let expected = if bf_telemetry::enabled() {
-            m.stats().tlb.l1d.hits()
-        } else {
-            0
-        };
         assert_eq!(
             m.telemetry_snapshot().counter("tlb.l1d.hits"),
-            expected,
+            m.stats().tlb.l1d.hits(),
             "post-reset window matches the legacy view"
         );
     }
@@ -1964,9 +1923,6 @@ mod tests {
 
     #[test]
     fn timeline_epochs_conserve_the_measurement_window() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(4, true);
         let (pid, va) = process_with_file(&mut m, 16);
         // Warm-up, then a windowed measurement like the runners do.
@@ -2004,9 +1960,6 @@ mod tests {
 
     #[test]
     fn corrupted_counter_is_caught_at_the_next_epoch_boundary() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(4, false);
         let (pid, va) = process_with_file(&mut m, 8);
         m.execute_access(0, pid, va, AccessKind::Read);
@@ -2032,10 +1985,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "telemetry invariant 'tlb.l2.shared_hits_within_hits'")]
     fn fail_fast_panics_on_corruption() {
-        if !bf_telemetry::enabled() {
-            // No registry when telemetry is off; satisfy should_panic.
-            panic!("telemetry invariant 'tlb.l2.shared_hits_within_hits' (telemetry off)");
-        }
         let mut m = timeline_machine(2, true);
         let (pid, va) = process_with_file(&mut m, 8);
         m.debug_corrupt_counter("tlb.l2.shared_hits", 1_000_000);
@@ -2046,9 +1995,6 @@ mod tests {
 
     #[test]
     fn instructions_counter_matches_core_totals() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(8, true);
         let (pid, _va) = process_with_file(&mut m, 4);
         m.retire(CoreId::new(0), 500);
@@ -2144,13 +2090,11 @@ mod tests {
                 "{what}: core {core} clock"
             );
         }
-        if bf_telemetry::enabled() {
-            assert_eq!(
-                a.telemetry_snapshot(),
-                b.telemetry_snapshot(),
-                "{what}: telemetry"
-            );
-        }
+        assert_eq!(
+            a.telemetry_snapshot(),
+            b.telemetry_snapshot(),
+            "{what}: telemetry"
+        );
     }
 
     #[test]
@@ -2192,6 +2136,12 @@ mod tests {
         }
     }
 
+    /// The machine's `fault.{injected,detected,recovered}` counters.
+    fn fault_counts(m: &Machine) -> [u64; 3] {
+        let snap = m.registry().snapshot();
+        ["fault.injected", "fault.detected", "fault.recovered"].map(|name| snap.counter(name))
+    }
+
     #[test]
     fn armed_bitflips_are_injected_detected_and_recovered() {
         let mut m = machine(Mode::babelfish());
@@ -2199,10 +2149,10 @@ mod tests {
         let (pid, va) = process_with_file(&mut m, 64);
         stride_cold_pages(&mut m, pid, va, 64);
         m.quiesce_faults();
-        let stats = m.fault_stats().expect("plan armed");
-        assert!(stats.injected > 0, "p=1 on 64 cold misses must inject");
-        assert_eq!(stats.detected, stats.injected);
-        assert_eq!(stats.recovered, stats.detected);
+        let [injected, detected, recovered] = fault_counts(&m);
+        assert!(injected > 0, "p=1 on 64 cold misses must inject");
+        assert_eq!(detected, injected);
+        assert_eq!(recovered, detected);
         // Zero residual corruption: every page still translates to the
         // frame the page table holds (a corrupt survivor would hit with
         // a wrong PPN and perturb nothing visible — so re-walk oracle:
@@ -2211,8 +2161,8 @@ mod tests {
             m.execute_access(0, pid, va.offset(i * 4096), AccessKind::Read);
         }
         m.quiesce_faults();
-        let after = m.fault_stats().unwrap();
-        assert_eq!(after.detected, after.injected);
+        let [injected, detected, _] = fault_counts(&m);
+        assert_eq!(detected, injected);
     }
 
     #[test]
@@ -2227,7 +2177,7 @@ mod tests {
             stride_cold_pages(&mut m, pid, va, 48);
             m.quiesce_faults();
             (
-                m.fault_stats().unwrap(),
+                fault_counts(&m),
                 format!("{:?}", m.stats()),
                 m.core_clock(CoreId::new(0)),
             )
@@ -2263,7 +2213,13 @@ mod tests {
     fn plan_without_machine_faults_stays_unarmed() {
         let mut m = machine(Mode::Baseline);
         m.arm_faults(FaultPlan::parse("trace-corrupt@block=0;cell-panic@idx=1").unwrap());
-        assert!(m.fault_stats().is_none());
+        assert!(
+            !m.registry()
+                .snapshot()
+                .counters
+                .contains_key("fault.injected"),
+            "no machine-level fault site armed"
+        );
         let (pid, va) = process_with_file(&mut m, 4);
         stride_cold_pages(&mut m, pid, va, 4);
 

@@ -8,20 +8,6 @@
 //! exporter for `results/` artifacts, and a live-run [`heartbeat`]
 //! NDJSON event stream for `bf_top` and CI.
 //!
-//! ## Zero overhead when off
-//!
-//! Everything hot-path lives behind the `on` cargo feature (enabled by
-//! default). With `--no-default-features` every handle ([`Counter`],
-//! [`Histogram`], [`Registry`], [`SpanTracer`]) becomes a zero-sized type
-//! and every record method an empty `#[inline(always)]` body, so
-//! instrumented call sites compile to the exact uninstrumented machine
-//! code. Consumer crates therefore need **no** `cfg` guards — they
-//! instrument unconditionally and let the feature decide.
-//!
-//! [`Snapshot`] and the exporter stay available in both modes (an
-//! off-mode registry just snapshots empty), so export plumbing never
-//! needs gating either.
-//!
 //! ## Naming convention
 //!
 //! Metric names are dot-separated hierarchies owned by the emitting
@@ -41,7 +27,7 @@ mod timeline;
 
 pub use export::{results_path, write_json};
 pub use invariants::{InvariantMode, InvariantSet, Violation};
-pub use metrics::{enabled, Counter, Histogram};
+pub use metrics::{Counter, Histogram};
 pub use profiler::{
     path_name, path_push, path_src, Blame, BlameEntry, PathCount, PathSig, ProfileSnapshot,
     Profiler, RegionCount, RegionKey, SetCounts, SpaceSaving, REGION_SHIFT,
@@ -53,3 +39,10 @@ pub use span::{
     DEFAULT_SPAN_CAPACITY,
 };
 pub use timeline::{Epoch, PhaseSummary, Timeline, TimelineSnapshot, DEFAULT_TIMELINE_CAPACITY};
+
+/// Always true: the counters are always compiled in. Kept only because
+/// the `perf/` benchmark calls it; a benchmark change may drop it.
+#[inline]
+pub const fn enabled() -> bool {
+    true
+}

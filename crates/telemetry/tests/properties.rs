@@ -158,11 +158,7 @@ proptest! {
         let roomy_summary =
             validate_chrome_trace(&roomy.chrome_trace()).map_err(TestCaseError)?;
         validate_chrome_trace(&tight.chrome_trace()).map_err(TestCaseError)?;
-        if bf_telemetry::enabled() {
-            prop_assert_eq!(roomy.dropped(), 0);
-            prop_assert_eq!(roomy_summary.begins, roomy_summary.ends);
-        } else {
-            prop_assert_eq!(roomy_summary.begins + roomy_summary.instants, 0);
-        }
+        prop_assert_eq!(roomy.dropped(), 0);
+        prop_assert_eq!(roomy_summary.begins, roomy_summary.ends);
     }
 }

@@ -59,24 +59,22 @@ fn exported_json_tlb_totals_match_legacy_stats() {
     }
 
     // And the telemetry counters in the same document agree with both.
-    if bf_telemetry::enabled() {
-        let counters = doc
-            .get("telemetry")
-            .and_then(|t| t.get("counters"))
-            .and_then(Value::as_object)
-            .expect("telemetry.counters member");
-        let counter = |name: &str| {
-            counters
-                .get(name)
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("{name} missing"))
-        };
-        assert_eq!(counter("tlb.l1d.hits"), result.stats.tlb.l1d.hits());
-        assert_eq!(counter("tlb.l1d.misses"), result.stats.tlb.l1d.misses());
-        assert_eq!(counter("tlb.l2.hits"), result.stats.tlb.l2.hits());
-        assert_eq!(counter("tlb.l2.misses"), result.stats.tlb.l2.misses());
-        assert_eq!(counter("sim.walks"), result.stats.walks);
-    }
+    let counters = doc
+        .get("telemetry")
+        .and_then(|t| t.get("counters"))
+        .and_then(Value::as_object)
+        .expect("telemetry.counters member");
+    let counter = |name: &str| {
+        counters
+            .get(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    assert_eq!(counter("tlb.l1d.hits"), result.stats.tlb.l1d.hits());
+    assert_eq!(counter("tlb.l1d.misses"), result.stats.tlb.l1d.misses());
+    assert_eq!(counter("tlb.l2.hits"), result.stats.tlb.l2.hits());
+    assert_eq!(counter("tlb.l2.misses"), result.stats.tlb.l2.misses());
+    assert_eq!(counter("sim.walks"), result.stats.walks);
 }
 
 #[test]
