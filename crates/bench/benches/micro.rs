@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the core data structures: the TLB
 //! lookup paths (Fig. 8), MaskPage CoW bookkeeping, the page walk, the
-//! frame allocator, the Zipfian generator, and the bf-telemetry
+//! cache hierarchy's L1/L2/L3/DRAM paths, the frame allocator, the Zipfian generator, and the bf-telemetry
 //! primitives themselves (the `telemetry` group times one counter
 //! increment and one histogram record through a registry handle).
 
@@ -189,6 +189,115 @@ fn bench_machine_access(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `CacheHierarchy::access` on each path a load or a walker request
+/// takes through the Table I hierarchy: a core load hitting the L1, a
+/// walker request hitting the L2 (walkers enter there, Fig. 7), and
+/// walker requests cycling through 1 MB (larger than the L2, so every
+/// one hits the L3) and 32 MB (larger than the L3, so every one goes to
+/// DRAM). The two streaming paths include the fills they trigger.
+fn bench_cache(c: &mut Criterion) {
+    use babelfish::cache::{AccessOrigin, CacheHierarchy, HierarchyConfig};
+    let mut group = c.benchmark_group("cache");
+    let core = CoreId::new(0);
+    let mut mem = CacheHierarchy::new(HierarchyConfig::table1(1));
+    let hot = PhysAddr::new(0x10_0000);
+    mem.access(core, hot, AccessKind::Read, AccessOrigin::Core, 0);
+    group.bench_function("l1_hit", |b| {
+        b.iter(|| {
+            mem.access(
+                core,
+                black_box(hot),
+                AccessKind::Read,
+                AccessOrigin::Core,
+                0,
+            )
+        })
+    });
+    let entry = PhysAddr::new(0x20_0000);
+    mem.access(core, entry, AccessKind::Read, AccessOrigin::PageWalker, 0);
+    group.bench_function("walker_l2_hit", |b| {
+        b.iter(|| {
+            mem.access(
+                core,
+                black_box(entry),
+                AccessKind::Read,
+                AccessOrigin::PageWalker,
+                0,
+            )
+        })
+    });
+    for (name, bytes) in [("walker_l3_hit", 1u64 << 20), ("walker_dram", 32 << 20)] {
+        let lines = bytes / 64;
+        for line in 0..lines {
+            mem.access(
+                core,
+                PhysAddr::new(line * 64),
+                AccessKind::Read,
+                AccessOrigin::PageWalker,
+                line,
+            );
+        }
+        let mut line = 0u64;
+        let mut now = lines;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                line = (line + 1) % lines;
+                now += 100;
+                mem.access(
+                    core,
+                    PhysAddr::new(line * 64),
+                    AccessKind::Read,
+                    AccessOrigin::PageWalker,
+                    now,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+/// A present 4-level software walk and one `PhysMemory::read_entry`,
+/// over 256 PTE tables (one mapped page per 2 MB region) so the table
+/// store holds a realistic number of populated pages.
+fn bench_pgtable(c: &mut Criterion) {
+    use babelfish::pgtable::{AddressSpace, TableStore};
+    let mut group = c.benchmark_group("pgtable");
+    let mut store = TableStore::new(1 << 16);
+    let mut space = AddressSpace::new(&mut store, Pid::new(1), Pcid::new(1), Ccid::new(1));
+    let regions: Vec<VirtAddr> = (0..256u64)
+        .map(|i| VirtAddr::new(0x7f00_0000_0000 + (i << 21)))
+        .collect();
+    for (i, &va) in regions.iter().enumerate() {
+        space
+            .map(
+                &mut store,
+                va,
+                Ppn::new(0x8000 + i as u64),
+                PageSize::Size4K,
+                PageFlags::USER,
+            )
+            .unwrap();
+    }
+    let tables: Vec<Ppn> = regions
+        .iter()
+        .map(|&va| space.table_at(&store, va, PageTableLevel::Pte).unwrap())
+        .collect();
+    let mut i = 0usize;
+    group.bench_function("walk_4level_present", |b| {
+        b.iter(|| {
+            i = (i + 1) % regions.len();
+            black_box(space.walk(&store, regions[i]))
+        })
+    });
+    group.bench_function("read_entry", |b| {
+        b.iter(|| {
+            i = (i + 1) % tables.len();
+            store.mem.read_entry(tables[i], black_box(0))
+        })
+    });
+    group.finish();
+}
+
 fn bench_telemetry(c: &mut Criterion) {
     use bf_telemetry::Registry;
     let mut group = c.benchmark_group("telemetry");
@@ -252,6 +361,8 @@ criterion_group!(
     bench_tlb_group,
     bench_maskpage,
     bench_machine_access,
+    bench_cache,
+    bench_pgtable,
     bench_quick_cell,
     bench_telemetry,
     bench_allocators

@@ -77,8 +77,11 @@ struct PwcWay {
 #[derive(Debug)]
 pub struct PageWalkCache {
     config: PwcConfig,
-    /// Sets for PGD, PUD, PMD (index = level depth).
-    levels: [Vec<Vec<PwcWay>>; 3],
+    /// Every way of PGD, PUD, then PMD, each level set-major: way `w` of
+    /// set `s` at depth `d` is `ways[(d * sets + s) * config.ways + w]`.
+    ways: Vec<PwcWay>,
+    /// `sets - 1`: a key's set index is `key & set_mask`.
+    set_mask: u64,
     clock: u64,
     stats: PwcStats,
     telem_hits: Counter,
@@ -91,7 +94,8 @@ impl PageWalkCache {
     ///
     /// # Panics
     ///
-    /// Panics if `entries_per_level` is not a positive multiple of `ways`.
+    /// Panics if `entries_per_level` is not a positive multiple of `ways`,
+    /// or if the set count it implies is not a power of two.
     pub fn new(config: PwcConfig) -> Self {
         assert!(
             config.entries_per_level > 0
@@ -100,10 +104,16 @@ impl PageWalkCache {
             "entries_per_level must be a positive multiple of ways"
         );
         let sets = config.entries_per_level / config.ways;
-        let make = || vec![vec![PwcWay::default(); config.ways]; sets];
+        assert!(
+            sets.is_power_of_two(),
+            "PWC set count must be a power of two: {} entries / {} ways = {sets} sets",
+            config.entries_per_level,
+            config.ways
+        );
         PageWalkCache {
             config,
-            levels: [make(), make(), make()],
+            ways: vec![PwcWay::default(); 3 * config.entries_per_level],
+            set_mask: sets as u64 - 1,
             clock: 0,
             stats: PwcStats::default(),
             telem_hits: Counter::new(),
@@ -141,11 +151,8 @@ impl PageWalkCache {
     pub fn probe(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
         self.clock += 1;
         let clock = self.clock;
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
         let key = entry_addr.raw() / 8;
-        let set = &mut sets[(key % set_count) as usize];
-        let hit = set.iter_mut().any(|way| {
+        let hit = self.set_mut(level, key).iter_mut().any(|way| {
             if way.valid && way.tag == key {
                 way.last_used = clock;
                 true
@@ -153,12 +160,7 @@ impl PageWalkCache {
                 false
             }
         });
-        let depth = match level {
-            PageTableLevel::Pgd => 0,
-            PageTableLevel::Pud => 1,
-            PageTableLevel::Pmd => 2,
-            PageTableLevel::Pte => unreachable!("level_sets rejected PTE"),
-        };
+        let depth = level.depth() as u64;
         if hit {
             self.stats.hits += 1;
             self.telem_hits.incr();
@@ -179,14 +181,14 @@ impl PageWalkCache {
     pub fn fill(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
         self.clock += 1;
         let clock = self.clock;
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
-        let set = &mut sets[(entry_addr.raw() / 8 % set_count) as usize];
         let key = entry_addr.raw() / 8;
+        let set = self.set_mut(level, key);
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == key) {
             way.last_used = clock;
             return;
         }
+        // LRU victim: the first invalid way, else the first way with the
+        // smallest stamp (valid stamps are at least 1).
         let victim = set
             .iter_mut()
             .min_by_key(|w| if w.valid { w.last_used } else { 0 })
@@ -200,34 +202,31 @@ impl PageWalkCache {
 
     /// Drops every cached entry (e.g. on a full TLB shootdown).
     pub fn flush(&mut self) {
-        for level in &mut self.levels {
-            for set in level.iter_mut() {
-                for way in set.iter_mut() {
-                    way.valid = false;
-                }
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
     }
 
     /// Drops a single cached entry if present.
     pub fn invalidate(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
         let key = entry_addr.raw() / 8;
-        for way in sets[(key % set_count) as usize].iter_mut() {
+        for way in self.set_mut(level, key) {
             if way.valid && way.tag == key {
                 way.valid = false;
             }
         }
     }
 
-    fn level_sets(&mut self, level: PageTableLevel) -> &mut Vec<Vec<PwcWay>> {
-        match level {
-            PageTableLevel::Pgd => &mut self.levels[0],
-            PageTableLevel::Pud => &mut self.levels[1],
-            PageTableLevel::Pmd => &mut self.levels[2],
-            PageTableLevel::Pte => panic!("PTE entries are not cached in the PWC"),
-        }
+    /// The ways of `key`'s set at `level`.
+    fn set_mut(&mut self, level: PageTableLevel, key: u64) -> &mut [PwcWay] {
+        assert!(
+            level != PageTableLevel::Pte,
+            "PTE entries are not cached in the PWC"
+        );
+        let ways = self.config.ways;
+        let sets = self.set_mask as usize + 1;
+        let set = level.depth() * sets + (key & self.set_mask) as usize;
+        &mut self.ways[set * ways..(set + 1) * ways]
     }
 }
 
@@ -306,6 +305,166 @@ mod tests {
         pwc.fill(PageTableLevel::Pgd, addr);
         pwc.fill(PageTableLevel::Pgd, addr);
         assert!(pwc.probe(PageTableLevel::Pgd, addr));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two: 24 entries / 4 ways = 6 sets")]
+    fn non_power_of_two_set_count_is_rejected() {
+        let _ = PageWalkCache::new(PwcConfig {
+            entries_per_level: 24,
+            ways: 4,
+            access_cycles: 1,
+        });
+    }
+
+    /// The per-level nested-`Vec` PWC the flat arena replaced, indexed
+    /// with `%`: the reference the arena must match operation for
+    /// operation.
+    struct Oracle {
+        levels: [Vec<Vec<PwcWay>>; 3],
+        clock: u64,
+        stats: PwcStats,
+    }
+
+    impl Oracle {
+        fn new(config: PwcConfig) -> Self {
+            let sets = config.entries_per_level / config.ways;
+            let make = || vec![vec![PwcWay::default(); config.ways]; sets];
+            Oracle {
+                levels: [make(), make(), make()],
+                clock: 0,
+                stats: PwcStats::default(),
+            }
+        }
+
+        fn set(&mut self, level: PageTableLevel, key: u64) -> &mut Vec<PwcWay> {
+            let sets = &mut self.levels[level.depth()];
+            let count = sets.len() as u64;
+            &mut sets[(key % count) as usize]
+        }
+
+        fn probe(&mut self, level: PageTableLevel, key: u64) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let hit = self.set(level, key).iter_mut().any(|way| {
+                let hit = way.valid && way.tag == key;
+                if hit {
+                    way.last_used = clock;
+                }
+                hit
+            });
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            hit
+        }
+
+        fn fill(&mut self, level: PageTableLevel, key: u64) {
+            self.clock += 1;
+            let clock = self.clock;
+            let set = self.set(level, key);
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == key) {
+                way.last_used = clock;
+                return;
+            }
+            let victim = set
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.last_used } else { 0 })
+                .unwrap();
+            *victim = PwcWay {
+                valid: true,
+                tag: key,
+                last_used: clock,
+            };
+        }
+
+        fn invalidate(&mut self, level: PageTableLevel, key: u64) {
+            for way in self.set(level, key).iter_mut() {
+                if way.valid && way.tag == key {
+                    way.valid = false;
+                }
+            }
+        }
+
+        fn flush(&mut self) {
+            for way in self.levels.iter_mut().flatten().flatten() {
+                way.valid = false;
+            }
+        }
+
+        /// Every valid entry as (level depth, key), sorted.
+        fn resident(&self) -> Vec<(usize, u64)> {
+            let mut out: Vec<(usize, u64)> = (0..3)
+                .flat_map(|d| self.levels[d].iter().flatten().map(move |w| (d, w)))
+                .filter(|(_, w)| w.valid)
+                .map(|(d, w)| (d, w.tag))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// The arena's valid entries as (level depth, key), sorted.
+    fn resident(pwc: &PageWalkCache) -> Vec<(usize, u64)> {
+        let per_level = pwc.config.entries_per_level;
+        let mut out: Vec<(usize, u64)> = pwc
+            .ways
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.valid)
+            .map(|(i, w)| (i / per_level, w.tag))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    proptest::proptest! {
+        /// The flat arena gives the nested-`Vec` PWC's hits, stats and
+        /// resident entries under any mix of probes, fills,
+        /// invalidations and flushes on the three cached levels. An op
+        /// is (kind, level, set, tag); keys crowd four sets so fills
+        /// evict, and flushes are rare so sets fill up between them.
+        #[test]
+        fn flat_arena_matches_nested_pwc(
+            geometry in 0u8..3,
+            ops in proptest::collection::vec((0u8..64, 0u8..3, 0u64..4, 0u64..10), 1..300)
+        ) {
+            let config = match geometry {
+                0 => PwcConfig::default(),
+                1 => PwcConfig { entries_per_level: 64, ways: 8, access_cycles: 1 },
+                _ => PwcConfig { entries_per_level: 4, ways: 1, access_cycles: 1 },
+            };
+            let sets = (config.entries_per_level / config.ways) as u64;
+            let mut pwc = PageWalkCache::new(config);
+            let mut oracle = Oracle::new(config);
+            for (kind, depth, set, tag) in ops {
+                let level = PageTableLevel::ALL[depth as usize];
+                let key = tag * sets + set;
+                let addr = PhysAddr::new(key * 8);
+                match kind {
+                    0..=27 => proptest::prop_assert_eq!(
+                        pwc.probe(level, addr),
+                        oracle.probe(level, key)
+                    ),
+                    28..=55 => {
+                        pwc.fill(level, addr);
+                        oracle.fill(level, key);
+                    }
+                    56..=62 => {
+                        pwc.invalidate(level, addr);
+                        oracle.invalidate(level, key);
+                    }
+                    _ => {
+                        pwc.flush();
+                        oracle.flush();
+                    }
+                }
+                proptest::prop_assert_eq!(pwc.stats(), oracle.stats);
+                proptest::prop_assert_eq!(resident(&pwc), oracle.resident());
+            }
+        }
     }
 
     #[test]

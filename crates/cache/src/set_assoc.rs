@@ -4,7 +4,9 @@ use bf_types::{Cycles, CACHE_LINE_BYTES};
 
 /// Geometry and timing of one cache level.
 ///
-/// The constructors provide the Table I configurations.
+/// The constructors provide the Table I configurations. The set count
+/// ([`CacheConfig::sets`]) must be a power of two: [`SetAssocCache`]
+/// splits a line number into set index and tag with a mask and a shift.
 ///
 /// # Examples
 ///
@@ -129,7 +131,13 @@ struct Way {
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `ways[s * config.ways..(s + 1) * config.ways]`.
+    ways: Vec<Way>,
+    /// `sets - 1`: a line's set index is `line & set_mask`.
+    set_mask: u64,
+    /// `log2(sets)`: a line's tag is `line >> set_shift`.
+    set_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -139,13 +147,22 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one set.
+    /// Panics if the geometry's set count is not a power of two (at
+    /// least one).
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
-        assert!(sets > 0, "cache must have at least one set");
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two: {} B / {} B lines / {} ways = {sets} sets",
+            config.size_bytes,
+            config.line_bytes,
+            config.ways
+        );
         SetAssocCache {
             config,
-            sets: vec![vec![Way::default(); config.ways]; sets],
+            ways: vec![Way::default(); sets * config.ways],
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -166,10 +183,8 @@ impl SetAssocCache {
     pub fn probe_and_touch(&mut self, line: u64, is_write: bool) -> bool {
         self.clock += 1;
         let clock = self.clock;
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        let set = &mut self.sets[set_index];
-        for way in set.iter_mut() {
+        let tag = line >> self.set_shift;
+        for way in self.set_mut(line) {
             if way.valid && way.tag == tag {
                 way.last_used = clock;
                 if is_write {
@@ -189,10 +204,10 @@ impl SetAssocCache {
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
         self.clock += 1;
         let clock = self.clock;
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        let sets_count = self.sets.len() as u64;
-        let set = &mut self.sets[set_index];
+        let tag = line >> self.set_shift;
+        let set_bits = line & self.set_mask;
+        let set_shift = self.set_shift;
+        let set = self.set_mut(line);
 
         // Already present (e.g. racing fills): refresh.
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
@@ -201,26 +216,26 @@ impl SetAssocCache {
             return None;
         }
 
-        let victim_index = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.last_used } else { 0 })
-            .map(|(i, _)| i)
+        // LRU victim: the first invalid way, else the first way with the
+        // smallest stamp (valid stamps are at least 1).
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
             .expect("cache set has at least one way");
-        let victim = set[victim_index];
-        set[victim_index] = Way {
+        let evicted = *victim;
+        *victim = Way {
             valid: true,
             tag,
             dirty,
             last_used: clock,
         };
         self.stats.fills += 1;
-        if victim.valid {
+        if evicted.valid {
             self.stats.evictions += 1;
-            if victim.dirty {
+            if evicted.dirty {
                 self.stats.writebacks += 1;
             }
-            Some(victim.tag * sets_count + set_index as u64)
+            Some((evicted.tag << set_shift) | set_bits)
         } else {
             None
         }
@@ -229,9 +244,8 @@ impl SetAssocCache {
     /// Drops `line` if present (used for cache-coherent invalidations of
     /// page-table lines on unmap).
     pub fn invalidate(&mut self, line: u64) {
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        for way in &mut self.sets[set_index] {
+        let tag = line >> self.set_shift;
+        for way in self.set_mut(line) {
             if way.valid && way.tag == tag {
                 way.valid = false;
             }
@@ -240,19 +254,13 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
-    }
-
-    fn tag(&self, line: u64) -> u64 {
-        line / self.sets.len() as u64
+    fn set_mut(&mut self, line: u64) -> &mut [Way] {
+        let ways = self.config.ways;
+        let base = (line & self.set_mask) as usize * ways;
+        &mut self.ways[base..base + ways]
     }
 }
 
@@ -356,6 +364,158 @@ mod tests {
         }
         for line in 0..4 {
             assert!(cache.probe_and_touch(line, false));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two: 384 B / 64 B lines / 2 ways = 3 sets")]
+    fn non_power_of_two_set_count_is_rejected() {
+        let _ = SetAssocCache::new(CacheConfig {
+            size_bytes: 384,
+            ways: 2,
+            line_bytes: 64,
+            access_cycles: 1,
+            mshrs: 4,
+        });
+    }
+
+    /// The nested-`Vec` LRU cache the flat arena replaced, indexed with
+    /// `%` and `/`: the reference the arena must match operation for
+    /// operation.
+    struct Oracle {
+        sets: Vec<Vec<Way>>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl Oracle {
+        fn new(config: CacheConfig) -> Self {
+            Oracle {
+                sets: vec![vec![Way::default(); config.ways]; config.sets()],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn split(&self, line: u64) -> (usize, u64) {
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn probe_and_touch(&mut self, line: u64, is_write: bool) -> bool {
+            self.clock += 1;
+            let (set, tag) = self.split(line);
+            for way in self.sets[set].iter_mut() {
+                if way.valid && way.tag == tag {
+                    way.last_used = self.clock;
+                    way.dirty |= is_write;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
+            self.clock += 1;
+            let (set_index, tag) = self.split(line);
+            let sets_count = self.sets.len() as u64;
+            let set = &mut self.sets[set_index];
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.last_used = self.clock;
+                way.dirty |= dirty;
+                return None;
+            }
+            let victim_index = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| if w.valid { w.last_used } else { 0 })
+                .map(|(i, _)| i)
+                .unwrap();
+            let victim = set[victim_index];
+            set[victim_index] = Way {
+                valid: true,
+                tag,
+                dirty,
+                last_used: self.clock,
+            };
+            self.stats.fills += 1;
+            if victim.valid {
+                self.stats.evictions += 1;
+                if victim.dirty {
+                    self.stats.writebacks += 1;
+                }
+                Some(victim.tag * sets_count + set_index as u64)
+            } else {
+                None
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            let (set, tag) = self.split(line);
+            for way in self.sets[set].iter_mut() {
+                if way.valid && way.tag == tag {
+                    way.valid = false;
+                }
+            }
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().flatten().filter(|w| w.valid).count()
+        }
+    }
+
+    /// Replays `ops` on the arena and the oracle, comparing every result.
+    /// An op is (kind, set, tag, raw line): lines mostly crowd four sets
+    /// so fills evict; kind 4 uses the raw line to reach every set.
+    fn matches_oracle(
+        config: CacheConfig,
+        ops: &[(u8, u64, u64, u64)],
+    ) -> Result<(), proptest::TestCaseError> {
+        let mut cache = SetAssocCache::new(config);
+        let mut oracle = Oracle::new(config);
+        let sets = config.sets() as u64;
+        for &(kind, set, tag, raw) in ops {
+            let line = if kind == 4 { raw } else { tag * sets + set };
+            match kind {
+                0 | 4 => proptest::prop_assert_eq!(
+                    cache.probe_and_touch(line, tag % 2 == 0),
+                    oracle.probe_and_touch(line, tag % 2 == 0)
+                ),
+                1 | 2 => proptest::prop_assert_eq!(
+                    cache.fill(line, kind == 2),
+                    oracle.fill(line, kind == 2)
+                ),
+                _ => {
+                    cache.invalidate(line);
+                    oracle.invalidate(line);
+                }
+            }
+            proptest::prop_assert_eq!(cache.stats(), oracle.stats);
+        }
+        proptest::prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
+        Ok(())
+    }
+
+    fn geometry(index: u8) -> CacheConfig {
+        match index {
+            0 => *tiny().config(),
+            1 => CacheConfig::l1_data(),
+            2 => CacheConfig::l2(),
+            _ => CacheConfig::l3(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat arena gives the nested-`Vec` LRU's hits, evicted
+        /// lines, stats and residency on the tiny and Table I geometries.
+        #[test]
+        fn flat_arena_matches_nested_lru(
+            index in 0u8..4,
+            ops in proptest::collection::vec((0u8..6, 0u64..4, 0u64..40, 0u64..1 << 40), 1..300)
+        ) {
+            matches_oracle(geometry(index), &ops)?;
         }
     }
 

@@ -9,8 +9,7 @@
 use crate::crc::crc32;
 use crate::varint::{read_i64, read_u64, write_i64, write_u64};
 use crate::{Record, TraceError};
-use bf_types::{AccessKind, Pid, VirtAddr};
-use std::collections::HashMap;
+use bf_types::{AccessKind, FastMap, Pid, VirtAddr};
 use std::io::{Read, Write};
 
 /// Leading file magic.
@@ -38,7 +37,7 @@ const META_STREAM_DEFINE: u64 = 1;
 /// previous VPN for delta coding.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeState {
-    streams: HashMap<(u32, u32), u64>,
+    streams: FastMap<(u32, u32), u64>,
     last_vpn: Vec<i64>,
 }
 

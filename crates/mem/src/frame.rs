@@ -1,7 +1,6 @@
 //! Physical frame allocator with per-frame reference counts.
 
-use bf_types::Ppn;
-use std::collections::HashMap;
+use bf_types::{FastMap, Ppn};
 
 /// Allocates 4 KB physical frames and aligned contiguous runs (for 2 MB /
 /// 1 GB huge pages) from a fixed pool, and reference-counts them.
@@ -38,7 +37,7 @@ pub struct FrameAllocator {
     /// Recycled singleton frames.
     free_list: Vec<Ppn>,
     /// Reference count per live frame. Absent ⇒ free.
-    refcounts: HashMap<Ppn, u32>,
+    refcounts: FastMap<Ppn, u32>,
     stats: FrameAllocatorStats,
 }
 
@@ -68,7 +67,7 @@ impl FrameAllocator {
             bump_low: 1,
             bump_high: capacity,
             free_list: Vec::new(),
-            refcounts: HashMap::new(),
+            refcounts: FastMap::default(),
             stats: FrameAllocatorStats::default(),
         }
     }

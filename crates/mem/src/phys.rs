@@ -1,8 +1,7 @@
 //! Sparse backing store for pages with real contents (page tables and
 //! MaskPages).
 
-use bf_types::{PhysAddr, Ppn, TABLE_ENTRIES};
-use std::collections::HashMap;
+use bf_types::{FastMap, PhysAddr, Ppn, TABLE_ENTRIES};
 
 /// Word-addressable physical memory for the pages whose *contents* the
 /// simulation actually needs: page-table pages and MaskPages.
@@ -31,7 +30,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMemory {
-    pages: HashMap<Ppn, Box<[u64; TABLE_ENTRIES]>>,
+    pages: FastMap<Ppn, Box<[u64; TABLE_ENTRIES]>>,
 }
 
 impl PhysMemory {

@@ -1,8 +1,7 @@
 //! Files and the page cache.
 
 use bf_mem::FrameAllocator;
-use bf_types::Ppn;
-use std::collections::HashMap;
+use bf_types::{FastMap, Ppn};
 
 /// Identifier of a simulated file (a container-image layer member, a
 /// mounted data set, a shared library, ...).
@@ -69,8 +68,8 @@ pub struct PageCacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct PageCache {
-    resident: HashMap<(FileId, u64), Ppn>,
-    resident_huge: HashMap<(FileId, u64), Ppn>,
+    resident: FastMap<(FileId, u64), Ppn>,
+    resident_huge: FastMap<(FileId, u64), Ppn>,
     stats: PageCacheStats,
 }
 

@@ -8,9 +8,9 @@ use crate::vma::{Backing, MmapRequest, Vma};
 use bf_pgtable::{AddressSpace, EntryValue, MaskPage, TableStore};
 use bf_telemetry::{Counter, Histogram, Registry};
 use bf_types::{
-    Ccid, Cycles, PageFlags, PageSize, PageTableLevel, Pcid, Pid, Ppn, VirtAddr, TABLE_ENTRIES,
+    Ccid, Cycles, FastMap, FastSet, PageFlags, PageSize, PageTableLevel, Pcid, Pid, Ppn, VirtAddr,
+    TABLE_ENTRIES,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Kernel policy and cost model.
 ///
@@ -259,7 +259,7 @@ pub struct KernelStats {
     pub fork_cycles: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct RegionKey {
     ccid: Ccid,
     /// `va >> 21`: the 2 MB region index (one PTE table).
@@ -380,15 +380,15 @@ pub struct Kernel {
     store: TableStore,
     page_cache: PageCache,
     aslr: LayoutRandomizer,
-    processes: HashMap<Pid, Process>,
-    files: HashMap<FileId, u64>,
-    shared_regions: HashMap<RegionKey, SharedRegion>,
+    processes: FastMap<Pid, Process>,
+    files: FastMap<FileId, u64>,
+    shared_regions: FastMap<RegionKey, SharedRegion>,
     /// PMD-table sharing for huge-page mappings: one entry per
     /// (group, 1 GB region) — "if the application uses 2MB huge pages,
     /// BabelFish automatically tries to merge PMD tables" (§IV-C).
-    shared_pmd_regions: HashMap<(Ccid, u64), SharedRegion>,
-    maskpages: HashMap<(Ccid, u64), MaskPage>,
-    overflowed: HashSet<(Ccid, u64)>,
+    shared_pmd_regions: FastMap<(Ccid, u64), SharedRegion>,
+    maskpages: FastMap<(Ccid, u64), MaskPage>,
+    overflowed: FastSet<(Ccid, u64)>,
     next_pid: u32,
     next_ccid: u16,
     next_file: u64,
@@ -409,7 +409,7 @@ pub struct Kernel {
 /// callers can keep disjoint borrows of `self.store` et al. alive
 /// across the lookup.
 #[track_caller]
-fn live_process(processes: &HashMap<Pid, Process>, pid: Pid) -> &Process {
+fn live_process(processes: &FastMap<Pid, Process>, pid: Pid) -> &Process {
     let caller = std::panic::Location::caller();
     processes
         .get(&pid)
@@ -418,7 +418,7 @@ fn live_process(processes: &HashMap<Pid, Process>, pid: Pid) -> &Process {
 
 /// Mutable twin of [`live_process`]; same panic contract.
 #[track_caller]
-fn live_process_mut(processes: &mut HashMap<Pid, Process>, pid: Pid) -> &mut Process {
+fn live_process_mut(processes: &mut FastMap<Pid, Process>, pid: Pid) -> &mut Process {
     let caller = std::panic::Location::caller();
     processes
         .get_mut(&pid)
@@ -432,12 +432,12 @@ impl Kernel {
             store: TableStore::new(config.frame_capacity),
             page_cache: PageCache::new(),
             aslr: LayoutRandomizer::new(config.aslr_seed, config.aslr),
-            processes: HashMap::new(),
-            files: HashMap::new(),
-            shared_regions: HashMap::new(),
-            shared_pmd_regions: HashMap::new(),
-            maskpages: HashMap::new(),
-            overflowed: HashSet::new(),
+            processes: FastMap::default(),
+            files: FastMap::default(),
+            shared_regions: FastMap::default(),
+            shared_pmd_regions: FastMap::default(),
+            maskpages: FastMap::default(),
+            overflowed: FastSet::default(),
             next_pid: 1,
             next_ccid: 0,
             next_file: 1,
@@ -575,12 +575,13 @@ impl Kernel {
         &self.process(pid).space
     }
 
-    /// The PC-bitmask bit the process must check for accesses to `va`'s
-    /// GB region, if the OS has assigned it one (Fig. 8 / Appendix).
-    pub fn pc_bit(&self, pid: Pid, va: VirtAddr) -> Option<usize> {
-        let proc = self.processes.get(&pid)?;
-        let key = (proc.ccid(), va.raw() >> 30);
-        self.maskpages.get(&key).and_then(|mp| mp.bit_of(pid))
+    /// The PC-bitmask bit `pid`, a member of `group`, must check for
+    /// accesses to `va`'s GB region, if the OS has assigned it one
+    /// (Fig. 8 / Appendix).
+    pub fn pc_bit(&self, group: Ccid, pid: Pid, va: VirtAddr) -> Option<usize> {
+        self.maskpages
+            .get(&(group, va.raw() >> 30))
+            .and_then(|mp| mp.bit_of(pid))
     }
 
     /// Frame of the MaskPage covering `va` for `group` (for the timing of
@@ -599,7 +600,7 @@ impl Kernel {
 
     /// Every live MaskPage with its (group, GB-region) key, sorted by
     /// key so walkers (e.g. invariant checks) see a deterministic order
-    /// regardless of `HashMap` iteration.
+    /// regardless of map iteration order.
     pub fn maskpages(&self) -> Vec<(Ccid, u64, &MaskPage)> {
         let mut pages: Vec<_> = self
             .maskpages
@@ -1758,24 +1759,28 @@ impl Kernel {
         }
         proc.space.destroy(&mut self.store);
         // When the whole group is gone, release the registry references
-        // and MaskPages.
+        // and MaskPages. Freed frames go onto the allocator's LIFO free
+        // list, so release in key order: a later group's tables must get
+        // the same frames whatever the maps' iteration order.
         if !self.processes.values().any(|p| p.ccid() == ccid) {
-            let dead: Vec<RegionKey> = self
+            let mut dead: Vec<RegionKey> = self
                 .shared_regions
                 .keys()
                 .filter(|k| k.ccid == ccid)
                 .copied()
                 .collect();
+            dead.sort_unstable();
             for key in dead {
                 let region = self.shared_regions.remove(&key).unwrap();
                 self.store.release_table(region.pte_table);
             }
-            let dead_pmd: Vec<(Ccid, u64)> = self
+            let mut dead_pmd: Vec<(Ccid, u64)> = self
                 .shared_pmd_regions
                 .keys()
                 .filter(|(g, _)| *g == ccid)
                 .copied()
                 .collect();
+            dead_pmd.sort_unstable();
             for key in dead_pmd {
                 let region = self.shared_pmd_regions.remove(&key).unwrap();
                 self.store.release_table(region.pte_table);
@@ -2031,8 +2036,8 @@ mod tests {
         assert!(second.flags.contains(PageFlags::COW));
 
         // The child got PC-bitmask bit 0; the parent has none.
-        assert_eq!(k.pc_bit(child, va), Some(0));
-        assert_eq!(k.pc_bit(parent, va), None);
+        assert_eq!(k.pc_bit(group, child, va), Some(0));
+        assert_eq!(k.pc_bit(group, parent, va), None);
         // The remaining sharer's pmd_t has ORPC set.
         let parent_walk = k.space(parent).walk(k.store(), va);
         assert!(parent_walk
@@ -2276,7 +2281,7 @@ mod tests {
         for (i, &child) in children.iter().enumerate() {
             k.handle_fault(child, va, true).unwrap();
             assert_eq!(
-                k.pc_bit(child, va),
+                k.pc_bit(group, child, va),
                 Some(i),
                 "bits assigned in writing order"
             );
@@ -2284,7 +2289,7 @@ mod tests {
         // The bitmask the hardware would load has exactly those bits.
         assert_eq!(k.pc_bitmask(group, va), 0b1111);
         // The non-writing root still has no bit and still shares.
-        assert_eq!(k.pc_bit(root, va), None);
+        assert_eq!(k.pc_bit(group, root, va), None);
         assert!(!k
             .space(root)
             .walk(k.store(), va)
@@ -2371,6 +2376,42 @@ mod tests {
         assert_eq!(k.mmap(c, file_req).unwrap(), va);
         let fc = k.handle_fault(c, va, false).unwrap();
         assert_eq!(fc.kind, FaultKind::SharedResolved);
+    }
+
+    /// Frames freed when a CCID group dies go onto the allocator's LIFO
+    /// free list; the next group's page tables must get them back in the
+    /// same order in every kernel, whatever the maps' iteration order.
+    #[test]
+    fn frame_reuse_after_group_exit_is_deterministic() {
+        const REGIONS: u64 = 16;
+        let reused_frames = || {
+            let mut k = kernel(true);
+            let (a, b, va) = two_mappers(&mut k, REGIONS << 21);
+            for region in 0..REGIONS {
+                k.handle_fault(a, va.offset(region << 21), false).unwrap();
+            }
+            k.exit(a);
+            k.exit(b);
+            let group = k.create_group();
+            let c = k.spawn(group).unwrap();
+            let file = k.register_file(REGIONS << 21);
+            let req =
+                MmapRequest::file_shared(Segment::Lib, file, 0, REGIONS << 21, PageFlags::USER);
+            let va = k.mmap(c, req).unwrap();
+            (0..REGIONS)
+                .map(|region| {
+                    let va = va.offset(region << 21);
+                    k.handle_fault(c, va, false).unwrap();
+                    k.space(c)
+                        .table_at(k.store(), va, PageTableLevel::Pte)
+                        .unwrap()
+                })
+                .collect::<Vec<Ppn>>()
+        };
+        let first = reused_frames();
+        for _ in 0..20 {
+            assert_eq!(reused_frames(), first);
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! which the paper counts as unshareable).
 
 use crate::kernel::Kernel;
-use bf_types::{Ccid, PageFlags, PageSize};
-use std::collections::HashMap;
+use bf_types::{Ccid, FastMap, FastSet, PageFlags, PageSize};
 
 /// Counts for one Fig. 9 bar (total or active).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
@@ -79,8 +78,8 @@ pub fn census(kernel: &Kernel, group: Ccid) -> CensusReport {
     // Identity of a translation for sharing purposes (Section II-C).
     type Key = (u64, u64, u64); // (va, ppn, permission bits)
 
-    let mut occurrences: HashMap<Key, u64> = HashMap::new();
-    let mut active_occurrences: HashMap<Key, u64> = HashMap::new();
+    let mut occurrences: FastMap<Key, u64> = FastMap::default();
+    let mut active_occurrences: FastMap<Key, u64> = FastMap::default();
     let mut entries: Vec<(Key, bool, bool)> = Vec::new(); // (key, active, thp)
 
     for pid in kernel.group_members(group) {
@@ -105,7 +104,7 @@ pub fn census(kernel: &Kernel, group: Ccid) -> CensusReport {
     }
 
     let mut report = CensusReport::default();
-    let mut babelfish_shared_seen: HashMap<Key, ()> = HashMap::new();
+    let mut babelfish_shared_seen: FastSet<Key> = FastSet::default();
 
     for (key, active, thp) in entries {
         if thp {
@@ -121,7 +120,7 @@ pub fn census(kernel: &Kernel, group: Ccid) -> CensusReport {
             report.total.shareable += 1;
             if active {
                 report.active.shareable += 1;
-                if babelfish_shared_seen.insert(key, ()).is_none() {
+                if babelfish_shared_seen.insert(key) {
                     report.babelfish_active += 1; // one copy for the group
                 }
             }

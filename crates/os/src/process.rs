@@ -3,8 +3,7 @@
 use crate::aslr::Segment;
 use crate::vma::Vma;
 use bf_pgtable::AddressSpace;
-use bf_types::{Ccid, PageSize, Pcid, Pid, VirtAddr};
-use std::collections::HashMap;
+use bf_types::{Ccid, FastMap, PageSize, Pcid, Pid, VirtAddr};
 
 /// One process (in container workloads, one container — Section II-A:
 /// "The resulting containers usually include one process each").
@@ -26,7 +25,7 @@ pub struct Process {
     vmas: Vec<Vma>,
     /// Next free byte offset per segment (relative to the segment's
     /// group-canonical base).
-    cursors: HashMap<Segment, u64>,
+    cursors: FastMap<Segment, u64>,
 }
 
 impl Process {
@@ -38,7 +37,7 @@ impl Process {
             ccid,
             space,
             vmas: Vec::new(),
-            cursors: HashMap::new(),
+            cursors: FastMap::default(),
         }
     }
 
@@ -102,12 +101,12 @@ impl Process {
 
     /// Clones the VMA list and cursors into a forked child (the child
     /// receives the same canonical layout).
-    pub fn clone_mappings(&self) -> (Vec<Vma>, HashMap<Segment, u64>) {
+    pub fn clone_mappings(&self) -> (Vec<Vma>, FastMap<Segment, u64>) {
         (self.vmas.clone(), self.cursors.clone())
     }
 
     /// Replaces the VMA list / cursors (fork plumbing).
-    pub fn set_mappings(&mut self, vmas: Vec<Vma>, cursors: HashMap<Segment, u64>) {
+    pub fn set_mappings(&mut self, vmas: Vec<Vma>, cursors: FastMap<Segment, u64>) {
         self.vmas = vmas;
         self.cursors = cursors;
     }

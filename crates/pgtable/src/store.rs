@@ -5,8 +5,7 @@ use crate::entry::EntryValue;
 use crate::telemetry::PgtableTelemetry;
 use bf_mem::{FrameAllocator, PhysMemory};
 use bf_telemetry::Registry;
-use bf_types::Ppn;
-use std::collections::HashMap;
+use bf_types::{FastMap, Ppn};
 
 /// Counters exposed by [`TableStore::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
@@ -50,7 +49,7 @@ pub struct TableStore {
     pub mem: PhysMemory,
     /// The physical frame pool.
     pub frames: FrameAllocator,
-    sharers: HashMap<Ppn, u16>,
+    sharers: FastMap<Ppn, u16>,
     stats: TableStoreStats,
     telem: PgtableTelemetry,
 }
@@ -61,7 +60,7 @@ impl TableStore {
         TableStore {
             mem: PhysMemory::new(),
             frames: FrameAllocator::new(frame_capacity),
-            sharers: HashMap::new(),
+            sharers: FastMap::default(),
             stats: TableStoreStats::default(),
             telem: PgtableTelemetry::default(),
         }

@@ -831,19 +831,17 @@ impl Machine {
     }
 
     /// Resolves the per-process translation-tagging state for one
-    /// access: PCID/CCID from a single process-table borrow, the O-PC
+    /// access: PCID/CCID from a single process-table lookup, the O-PC
     /// PrivateCopy bit from the CCID group's MaskPage.
     fn make_access(&self, pid: Pid, va: VirtAddr, kind: AccessKind) -> TlbAccess {
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
+        let proc = self.kernel.process(pid);
+        let ccid = proc.ccid();
         TlbAccess {
             va,
-            pcid,
+            pcid: proc.pcid(),
             ccid,
             pid,
-            pc_bit: self.kernel.pc_bit(pid, va),
+            pc_bit: self.kernel.pc_bit(ccid, pid, va),
             kind,
         }
     }
@@ -969,7 +967,7 @@ impl Machine {
                 if tracing {
                     self.spans.begin("walk", &[("attempt", attempts)]);
                 }
-                let (mut walk_cycles, walk, path) = self.hardware_walk(core_index, pid, va);
+                let (mut walk_cycles, walk, path) = self.hardware_walk(core_index, access);
                 if self.fault_armed {
                     // Transient walk stall: detected by the walker's
                     // timeout, retried after the plan's backoff; the
@@ -1214,15 +1212,14 @@ impl Machine {
     fn hardware_walk(
         &mut self,
         core_index: usize,
-        pid: Pid,
-        va: VirtAddr,
+        access: &TlbAccess,
     ) -> (Cycles, WalkResult, PathSig) {
         let core_id = CoreId::new(core_index);
-        let walk = self.kernel.space(pid).walk(self.kernel.store(), va);
-        let ccid = self.kernel.process(pid).ccid();
+        let va = access.va;
+        let walk = self.kernel.space(access.pid).walk(self.kernel.store(), va);
         let mut cycles: Cycles = 0;
         let mut path: PathSig = 0;
-        let steps = walk.steps().to_vec();
+        let steps = walk.steps();
         let last = steps.len().saturating_sub(1);
         let tracing = self.tracing;
         // Trace cursor at walk entry; each step span ends at its own
@@ -1282,7 +1279,7 @@ impl Machine {
                     .map(|s| s.value.flags.contains(PageFlags::ORPC))
                     .unwrap_or(false);
                 let t_mask = if orpc {
-                    match self.kernel.maskpage_frame(ccid, va) {
+                    match self.kernel.maskpage_frame(access.ccid, va) {
                         Some(frame) => {
                             let line = (va.pmd_index() as u64 * 4) / 64 * 64;
                             self.hierarchy.access(

@@ -26,8 +26,9 @@
 //! `Profiler` when profiling was requested, exactly like epoch
 //! timelines.
 
+use bf_types::FastMap;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// log2 pages per profiled region: 64 × 4 KB = 256 KB regions, small
 /// enough to localise a hot structure, large enough that K regions
@@ -68,7 +69,7 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
     slots: Vec<Slot>,
-    index: HashMap<RegionKey, usize>,
+    index: FastMap<RegionKey, usize>,
     capacity: usize,
     total: u64,
 }
@@ -83,7 +84,7 @@ impl SpaceSaving {
         assert!(capacity > 0, "sketch capacity must be positive");
         SpaceSaving {
             slots: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             total: 0,
         }
@@ -597,7 +598,7 @@ mod tests {
         ] {
             let mut rng = Rng(seed);
             let mut sketch = SpaceSaving::new(k);
-            let mut oracle: HashMap<RegionKey, u64> = HashMap::new();
+            let mut oracle: FastMap<RegionKey, u64> = FastMap::default();
             for _ in 0..rounds {
                 // Zipf-ish: half the stream hits 4 hot keys, the rest
                 // spreads over 64, with weights 1..=4.
@@ -617,7 +618,7 @@ mod tests {
             assert_eq!(sketch.error_bound(), bound);
 
             let entries = sketch.entries();
-            let monitored: HashMap<RegionKey, &RegionCount> =
+            let monitored: FastMap<RegionKey, &RegionCount> =
                 entries.iter().map(|e| (key(e.ccid, e.region), e)).collect();
             for entry in &entries {
                 let truth = oracle

@@ -21,11 +21,13 @@
 
 pub mod addr;
 pub mod flags;
+pub mod hash;
 pub mod ids;
 pub mod size;
 
 pub use addr::{PhysAddr, Ppn, VirtAddr, Vpn};
 pub use flags::PageFlags;
+pub use hash::{FastMap, FastSet};
 pub use ids::{Ccid, CoreId, Pcid, Pid};
 pub use size::PageSize;
 
@@ -60,9 +62,10 @@ pub type Cycles = u64;
 /// assert_eq!(PageTableLevel::Pgd.next(), Some(PageTableLevel::Pud));
 /// assert_eq!(PageTableLevel::Pte.next(), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PageTableLevel {
     /// Page Global Directory (root; reached through CR3).
+    #[default]
     Pgd,
     /// Page Upper Directory.
     Pud,

@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn graph_random_lookups_have_low_locality() {
         let mut graph = GraphCompute::new(layout(), 1);
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = bf_types::FastSet::default();
         for _ in 0..2_000 {
             if let Op::Access {
                 va,
@@ -305,7 +305,7 @@ mod tests {
         let lay = layout();
         let collect = |seed: u64| {
             let mut fio = FioCompute::new(lay.clone(), seed);
-            let mut pages = std::collections::HashSet::new();
+            let mut pages = bf_types::FastSet::default();
             for _ in 0..3_000 {
                 if let Op::Access { va, kind, .. } = fio.next_op() {
                     if kind != AccessKind::Fetch {

@@ -283,7 +283,7 @@ mod tests {
     fn sparse_touches_about_10x_more_pages_for_same_work() {
         let touched = |density: AccessDensity| {
             let mut f = FunctionWorkload::new(FunctionKind::Hash, density, layout(), 2);
-            let mut pages = std::collections::HashSet::new();
+            let mut pages = bf_types::FastSet::default();
             for op in run_to_done(&mut f) {
                 if let Op::Access {
                     va,

@@ -173,7 +173,7 @@ mod tests {
     fn high_jump_prob_spreads_pages() {
         let mut fetcher = CodeFetcher::new(regions(), 1.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = bf_types::FastSet::default();
         for _ in 0..1_000 {
             pages.insert(fetcher.fetch(&mut rng).raw() >> 12);
         }

@@ -332,8 +332,8 @@ mod tests {
         let lay = layout();
         let mut a = DataServing::new(ServingVariant::MongoDb, lay.clone(), 1);
         let mut b = DataServing::new(ServingVariant::MongoDb, lay, 2);
-        let pages = |w: &mut DataServing| -> std::collections::HashSet<u64> {
-            let mut set = std::collections::HashSet::new();
+        let pages = |w: &mut DataServing| -> bf_types::FastSet<u64> {
+            let mut set = bf_types::FastSet::default();
             for _ in 0..2_000 {
                 if let Op::Access {
                     va,

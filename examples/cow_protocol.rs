@@ -62,7 +62,7 @@ fn main() {
     }
     println!(
         "  child's PC-bitmask bit: {:?} (position in the MaskPage pid_list)",
-        kernel.pc_bit(child, heap)
+        kernel.pc_bit(group, child, heap)
     );
     println!(
         "  MaskPage bitmask for this 2MB region: {:#034b}",

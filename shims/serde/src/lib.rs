@@ -18,7 +18,7 @@
 // this crate's own tests.
 extern crate self as serde;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 pub use serde_derive::Serialize;
 
@@ -220,7 +220,10 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
     }
 }
 
-impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
+// Mirrors serde's impl for the std map (any hasher); `Value::Object`
+// orders the keys, so the output does not depend on iteration order.
+#[allow(clippy::disallowed_types)]
+impl<V: Serialize, S> Serialize for std::collections::HashMap<String, V, S> {
     fn to_value(&self) -> Value {
         Value::Object(
             self.iter()

@@ -9,7 +9,6 @@ use babelfish::workloads::ZipfianGenerator;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 proptest! {
     /// Encoding a page-table entry and decoding it is the identity for
@@ -81,7 +80,7 @@ proptest! {
     ) {
         let mut store = TableStore::new(1 << 16);
         let mut space = AddressSpace::new(&mut store, Pid::new(1), Pcid::new(1), Ccid::new(0));
-        let mut reference: HashMap<u64, Ppn> = HashMap::new();
+        let mut reference: FastMap<u64, Ppn> = FastMap::default();
         let base = 0x7f00_0000_0000u64;
         for (op, slot) in ops {
             let va = VirtAddr::new(base + slot * 4096);
@@ -110,7 +109,7 @@ proptest! {
     #[test]
     fn maskpage_assignment_invariants(pids in proptest::collection::vec(1u32..1000, 1..80)) {
         let mut mp = MaskPage::new(Ppn::new(1));
-        let mut first_bit: HashMap<u32, usize> = HashMap::new();
+        let mut first_bit: FastMap<u32, usize> = FastMap::default();
         for pid in &pids {
             match mp.assign_bit(Pid::new(*pid)) {
                 Ok(bit) => {
