@@ -5,7 +5,7 @@
 //! deterministic, thread-count-independent output — and prints the
 //! data/instruction L2 TLB MPKI reduction (Fig. 10a) and the fraction of
 //! L2 TLB hits served by entries another process loaded (Fig. 10b).
-//! Also writes the full dataset — legacy stats, telemetry snapshots, and
+//! Also writes the full dataset — stats, telemetry snapshots, and
 //! the derived figures — as a timestamped JSON file under `results/`.
 //! Paper reference points: Data Serving D-MPKI −66 %, I-MPKI −96 %;
 //! GraphChi shared hits 48 % (I) / 12 % (D).

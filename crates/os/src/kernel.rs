@@ -226,19 +226,11 @@ pub struct FaultResolution {
     pub invalidations: Vec<Invalidation>,
 }
 
-/// Kernel activity counters.
+/// Kernel activity counters that have no registry twin. Faults and
+/// forks are counted once, by the `os.fault.*_cycles` and
+/// `os.fork.cycles` histograms (see [`Kernel::attach_telemetry`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct KernelStats {
-    /// Minor faults serviced.
-    pub minor_faults: u64,
-    /// Major faults serviced.
-    pub major_faults: u64,
-    /// CoW faults serviced (either protocol).
-    pub cow_faults: u64,
-    /// Faults avoided because a shared table already held the entry.
-    pub shared_resolved: u64,
-    /// Spurious faults.
-    pub spurious_faults: u64,
     /// BabelFish region privatisations (512-entry clones).
     pub privatizations: u64,
     /// MaskPage overflows (33rd writer fallback).
@@ -247,16 +239,10 @@ pub struct KernelStats {
     pub fork_pte_copies: u64,
     /// Tables attached instead of copied by BabelFish fork.
     pub fork_tables_attached: u64,
-    /// Forks performed.
-    pub forks: u64,
     /// Processes spawned (including forks).
     pub spawns: u64,
     /// THP huge pages mapped.
     pub thp_maps: u64,
-    /// Kernel cycles spent in fault handling.
-    pub fault_cycles: u64,
-    /// Kernel cycles spent in fork.
-    pub fork_cycles: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -798,7 +784,6 @@ impl Kernel {
             if is_write && leaf.flags.contains(PageFlags::COW) {
                 self.handle_cow(pid, va, &vma, leaf, size)?
             } else {
-                self.stats.spurious_faults += 1;
                 FaultResolution {
                     kind: FaultKind::Spurious,
                     cost: self.config.spurious_fault_cycles,
@@ -808,7 +793,6 @@ impl Kernel {
         } else {
             self.populate(pid, va, &vma, is_write)?
         };
-        self.stats.fault_cycles += resolution.cost;
         self.telem
             .fault_cycles(resolution.kind)
             .record(resolution.cost);
@@ -891,7 +875,6 @@ impl Kernel {
                     // The entry may already be there: fault avoided.
                     let proc = live_process(&self.processes, pid);
                     if proc.space.walk(&self.store, va).leaf().is_some() {
-                        self.stats.shared_resolved += 1;
                         return Ok(self.finish(FaultKind::SharedResolved, cost, invalidations));
                     }
                 }
@@ -1007,7 +990,6 @@ impl Kernel {
                 .map_err(|_| FaultError::OutOfMemory)?;
             kind = FaultKind::Cow;
             cost += self.config.cow_fault_cycles;
-            self.stats.cow_faults += 1;
             return Ok((kind, cost));
         }
 
@@ -1015,11 +997,6 @@ impl Kernel {
         proc.space
             .map(&mut self.store, va, frame, PageSize::Size4K, flags)
             .map_err(|_| FaultError::OutOfMemory)?;
-        match kind {
-            FaultKind::Minor => self.stats.minor_faults += 1,
-            FaultKind::Major => self.stats.major_faults += 1,
-            _ => {}
-        }
         Ok((kind, cost))
     }
 
@@ -1045,7 +1022,6 @@ impl Kernel {
             .map(&mut self.store, base, run, PageSize::Size2M, flags)
             .map_err(|_| FaultError::OutOfMemory)?;
         self.stats.thp_maps += 1;
-        self.stats.minor_faults += 1;
         Ok(FaultResolution {
             kind: FaultKind::Minor,
             cost: self.config.minor_fault_cycles,
@@ -1086,7 +1062,6 @@ impl Kernel {
                         cost += self.config.attach_table_cycles;
                         let proc = live_process(&self.processes, pid);
                         if proc.space.walk(&self.store, va).leaf().is_some() {
-                            self.stats.shared_resolved += 1;
                             return Ok(FaultResolution {
                                 kind: FaultKind::SharedResolved,
                                 cost,
@@ -1163,10 +1138,8 @@ impl Kernel {
             .map(&mut self.store, base, run, PageSize::Size2M, flags)
             .map_err(|_| FaultError::OutOfMemory)?;
         let (kind, cost) = if resident {
-            self.stats.minor_faults += 1;
             (FaultKind::Minor, self.config.minor_fault_cycles)
         } else {
-            self.stats.major_faults += 1;
             (FaultKind::Major, self.config.major_fault_cycles)
         };
         Ok((kind, cost))
@@ -1201,8 +1174,6 @@ impl Kernel {
         leaf: EntryValue,
         size: PageSize,
     ) -> Result<FaultResolution, FaultError> {
-        self.stats.cow_faults += 1;
-
         // THP CoW: copy the whole 2 MB page.
         if size == PageSize::Size2M {
             let run = self
@@ -1559,8 +1530,6 @@ impl Kernel {
             }
         }
 
-        self.stats.forks += 1;
-        self.stats.fork_cycles += cost;
         self.telem.fork_cycles.record(cost);
         let invalidations = if any_cow_transform {
             vec![Invalidation::Process { pcid: parent_pcid }]
@@ -1881,7 +1850,7 @@ mod tests {
             FaultKind::SharedResolved,
             "B reuses A's entry (Fig. 7)"
         );
-        assert_eq!(k.stats().shared_resolved, 1);
+        assert_eq!(k.telem.shared_resolved_cycles.count(), 1);
         // Identical entry address: one pte_t for the group (Fig. 6).
         assert_eq!(
             k.space(a)

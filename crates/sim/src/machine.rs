@@ -6,7 +6,7 @@ use crate::stats::{LatencyStats, MachineStats, TranslationBreakdown};
 use bf_cache::{AccessOrigin, CacheHierarchy, PageWalkCache, ServedBy};
 use bf_containers::{BringupProfile, Container};
 use bf_fault::{FaultPlan, SiteSampler, SITE_ALLOC_FAIL, SITE_TLB_BITFLIP, SITE_WALK_STALL};
-use bf_os::{FaultKind, Invalidation, Kernel, SchedDecision, Scheduler};
+use bf_os::{Invalidation, Kernel, SchedDecision, Scheduler};
 use bf_pgtable::WalkResult;
 use bf_telemetry::{
     path_push, path_src, Counter, Histogram, InvariantMode, InvariantSet, PathSig, ProfileSnapshot,
@@ -147,11 +147,6 @@ pub struct Machine {
     procs: Vec<Option<ProcState>>,
     latency: LatencyStats,
     breakdown: TranslationBreakdown,
-    walks: u64,
-    minor_faults: u64,
-    major_faults: u64,
-    cow_faults: u64,
-    shared_resolved: u64,
     registry: Registry,
     telem: SimTelemetry,
     /// The registry's span tracer; the machine owns the clock, so it
@@ -284,11 +279,6 @@ impl Machine {
             procs: Vec::new(),
             latency: LatencyStats::default(),
             breakdown: TranslationBreakdown::default(),
-            walks: 0,
-            minor_faults: 0,
-            major_faults: 0,
-            cow_faults: 0,
-            shared_resolved: 0,
             telem: SimTelemetry::attach(&registry),
             spans,
             tracing,
@@ -612,23 +602,20 @@ impl Machine {
             sink.reset();
         }
         for core in &mut self.cores {
-            core.tlbs.reset_stats();
             core.instructions = 0;
         }
         self.kernel.reset_stats();
         self.latency = LatencyStats::default();
         self.breakdown = TranslationBreakdown::default();
-        self.walks = 0;
-        self.minor_faults = 0;
-        self.major_faults = 0;
-        self.cow_faults = 0;
-        self.shared_resolved = 0;
         self.telemetry_baseline = self.registry.snapshot();
         if let Some(state) = self.timeline.as_mut() {
             state.timeline.restart(self.telemetry_baseline.clone());
         }
         if let Some(profiler) = self.profiler.as_deref_mut() {
             profiler.reset();
+            for core in &mut self.cores {
+                core.tlbs.reset_set_profile();
+            }
         }
         let clocks: Vec<Cycles> = self.cores.iter().map(|c| c.clock).collect();
         for proc in self.procs.iter_mut().flatten() {
@@ -638,24 +625,27 @@ impl Machine {
         }
     }
 
-    /// Aggregated statistics for the current measurement window.
+    /// Statistics of the current measurement window. The TLB, walk and
+    /// fault counts are read from the registry window of
+    /// [`Machine::telemetry_snapshot`], so they include faults serviced
+    /// directly through [`Machine::kernel_mut`] within the window.
     pub fn stats(&self) -> MachineStats {
-        let mut tlb = bf_tlb::TlbGroupStats::default();
-        let mut instructions = 0;
-        for core in &self.cores {
-            tlb.merge(&core.tlbs.stats());
-            instructions += core.instructions;
-        }
+        let window = self.telemetry_snapshot();
+        let faults = |kind: &str| {
+            window
+                .histogram(&format!("os.fault.{kind}_cycles"))
+                .map_or(0, |h| h.count)
+        };
         MachineStats {
-            instructions,
-            tlb,
+            instructions: self.cores.iter().map(|core| core.instructions).sum(),
+            tlb: bf_tlb::TlbGroupStats::from_snapshot(&window),
             latency: self.latency.clone(),
             breakdown: self.breakdown,
-            walks: self.walks,
-            minor_faults: self.minor_faults,
-            major_faults: self.major_faults,
-            cow_faults: self.cow_faults,
-            shared_resolved: self.shared_resolved,
+            walks: window.counter("sim.walks"),
+            minor_faults: faults("minor"),
+            major_faults: faults("major"),
+            cow_faults: faults("cow"),
+            shared_resolved: faults("shared_resolved"),
         }
     }
 
@@ -945,7 +935,6 @@ impl Machine {
             if tracing {
                 self.spans.set_now(clock_base + cycles);
             }
-            self.count_fault(resolution.kind);
             self.apply_invalidations(&resolution.invalidations);
         }
 
@@ -986,7 +975,6 @@ impl Machine {
                 }
                 cycles += walk_cycles;
                 self.breakdown.walk_cycles += walk_cycles;
-                self.walks += 1;
                 self.telem.walks.incr();
                 if tracing {
                     self.spans.set_now(clock_base + cycles);
@@ -1027,7 +1015,6 @@ impl Machine {
                 if tracing {
                     self.spans.set_now(clock_base + cycles);
                 }
-                self.count_fault(resolution.kind);
                 self.apply_invalidations(&resolution.invalidations);
             }
         }
@@ -1332,16 +1319,6 @@ impl Machine {
                 0
             },
             loader: pid,
-        }
-    }
-
-    fn count_fault(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Minor => self.minor_faults += 1,
-            FaultKind::Major => self.major_faults += 1,
-            FaultKind::Cow => self.cow_faults += 1,
-            FaultKind::SharedResolved => self.shared_resolved += 1,
-            FaultKind::Spurious => {}
         }
     }
 
@@ -1838,35 +1815,35 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_registry_matches_legacy_stats() {
+    fn l2_view_splits_fetch_and_data_streams() {
         let mut m = machine(Mode::babelfish());
-        let (pid, va) = process_with_file(&mut m, 8);
-        for page in 0..8u64 {
-            m.execute_access(0, pid, va.offset(page * 4096), AccessKind::Read);
+        let kernel = m.kernel_mut();
+        let group = kernel.create_group();
+        let a = kernel.spawn(group).unwrap();
+        let b = kernel.spawn(group).unwrap();
+        let file = kernel.register_file(2 * 4096);
+        let req = MmapRequest::file_shared(Segment::Lib, file, 0, 2 * 4096, PageFlags::USER);
+        let va = kernel.mmap(a, req).unwrap();
+        assert_eq!(kernel.mmap(b, req).unwrap(), va);
+        // A loads one page by fetch and one by read into core 0's TLBs.
+        m.execute_access(0, a, va, AccessKind::Fetch);
+        m.execute_access(0, a, va.offset(4096), AccessKind::Read);
+        // B misses its PCID-tagged L1s and hits A's shared L2 entries.
+        for (offset, kind) in [(0, AccessKind::Fetch), (4096, AccessKind::Read)] {
+            m.reset_measurement();
+            m.execute_access(0, b, va.offset(offset), kind);
+            let stats = m.stats();
+            let window = m.telemetry_snapshot();
+            let fetches = u64::from(kind.is_fetch());
+            assert_eq!(stats.walks, 0, "{kind:?} served by the L2");
+            assert_eq!(stats.tlb.l2.instr_hits, fetches, "{kind:?}");
+            assert_eq!(stats.tlb.l2.data_hits, 1 - fetches, "{kind:?}");
+            assert_eq!(window.counter("tlb.l2.instr_hits"), fetches, "{kind:?}");
+            assert_eq!(window.counter("tlb.l2.hits"), 1, "{kind:?}");
+            assert_eq!(stats.tlb.l1i.instr_misses, fetches, "{kind:?}");
+            // One L1d miss per page-size structure probed.
+            assert_eq!(stats.tlb.l1d.data_misses, 3 * (1 - fetches), "{kind:?}");
         }
-        let stats = m.stats();
-        let snap = m.telemetry_snapshot();
-        assert_eq!(snap.counter("tlb.l1d.hits"), stats.tlb.l1d.hits());
-        assert_eq!(snap.counter("tlb.l1d.misses"), stats.tlb.l1d.misses());
-        assert_eq!(snap.counter("tlb.l2.hits"), stats.tlb.l2.hits());
-        assert_eq!(snap.counter("tlb.l2.misses"), stats.tlb.l2.misses());
-        assert_eq!(snap.counter("sim.walks"), stats.walks);
-        // Prefault-free run: the kernel fault histograms cover every
-        // machine-observed fault.
-        let faults = snap
-            .histogram("os.fault.minor_cycles")
-            .map_or(0, |h| h.count)
-            + snap
-                .histogram("os.fault.major_cycles")
-                .map_or(0, |h| h.count)
-            + snap.histogram("os.fault.cow_cycles").map_or(0, |h| h.count)
-            + snap
-                .histogram("os.fault.shared_resolved_cycles")
-                .map_or(0, |h| h.count);
-        assert_eq!(
-            faults,
-            stats.minor_faults + stats.major_faults + stats.cow_faults + stats.shared_resolved
-        );
     }
 
     #[test]
@@ -1874,15 +1851,22 @@ mod tests {
         let mut m = machine(Mode::babelfish());
         let (pid, va) = process_with_file(&mut m, 4);
         m.execute_access(0, pid, va, AccessKind::Read);
+        let before = m.stats();
+        assert!(before.walks > 0 && before.major_faults > 0);
+        assert_ne!(before.tlb, bf_tlb::TlbGroupStats::default());
         m.reset_measurement();
         let snap = m.telemetry_snapshot();
         assert_eq!(snap.counter("sim.walks"), 0, "delta restarts at reset");
-        m.execute_access(0, pid, va, AccessKind::Read);
+        let after = m.stats();
+        assert_eq!(after.tlb, bf_tlb::TlbGroupStats::default());
         assert_eq!(
-            m.telemetry_snapshot().counter("tlb.l1d.hits"),
-            m.stats().tlb.l1d.hits(),
-            "post-reset window matches the legacy view"
+            (after.walks, after.minor_faults, after.major_faults),
+            (0, 0, 0),
+            "stats() windows with the registry"
         );
+        assert_eq!((after.cow_faults, after.shared_resolved), (0, 0));
+        m.execute_access(0, pid, va, AccessKind::Read);
+        assert_eq!(m.stats().tlb.l1d.data_hits, 1);
     }
 
     #[test]

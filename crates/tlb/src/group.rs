@@ -105,7 +105,8 @@ impl TlbAccess {
     }
 }
 
-/// Aggregated counters for the three TLB roles of a core.
+/// Per-stream counters for the three TLB roles, summed over page sizes
+/// and cores: the Fig. 10 view of the `tlb.*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TlbGroupStats {
     /// L1 instruction TLB.
@@ -117,11 +118,17 @@ pub struct TlbGroupStats {
 }
 
 impl TlbGroupStats {
-    /// Adds another core's counters into this one.
-    pub fn merge(&mut self, other: &TlbGroupStats) {
-        self.l1i.merge(&other.l1i);
-        self.l1d.merge(&other.l1d);
-        self.l2.merge(&other.l2);
+    /// The per-role view of the `tlb.*` counters in `snapshot` (all
+    /// cores of a machine record into the same counters). The L1i serves
+    /// only fetches and the L1d only data ([`TlbGroup::lookup_l1`]), so
+    /// their totals belong to one stream each. The unified L2 splits its
+    /// totals with its `tlb.l2.instr_*` counters.
+    pub fn from_snapshot(snapshot: &bf_telemetry::Snapshot) -> Self {
+        TlbGroupStats {
+            l1i: TlbStats::from_role(snapshot, "l1i"),
+            l1d: TlbStats::from_role(snapshot, "l1d"),
+            l2: TlbStats::from_role(snapshot, "l2"),
+        }
     }
 }
 
@@ -195,7 +202,7 @@ impl TlbGroup {
     /// Routes this core's TLB counters into `registry` under the
     /// `tlb.l1i.*`, `tlb.l1d.*` and `tlb.l2.*` namespaces. All cores of
     /// a machine attach to the same registry, so those counters are
-    /// machine-wide totals matching the merged [`TlbGroupStats`] view.
+    /// machine-wide totals ([`TlbGroupStats::from_snapshot`] reads them).
     pub fn attach_telemetry(&mut self, registry: &bf_telemetry::Registry) {
         self.l1i
             .set_telemetry(TlbTelemetry::for_role(registry, "l1i"));
@@ -407,14 +414,6 @@ impl TlbGroup {
         }
     }
 
-    /// Zeroes every structure's counters (start of a measurement
-    /// window).
-    pub fn reset_stats(&mut self) {
-        for (_, tlb) in self.all_structures() {
-            tlb.reset_stats();
-        }
-    }
-
     /// Switches on per-set conflict profiling for the L2 4 KB structure
     /// — the only set-associative array large enough for set imbalance
     /// to matter (the L1s are tiny and fully pressured; 2 MB/1 GB L2s
@@ -426,6 +425,12 @@ impl TlbGroup {
     /// The L2 4 KB per-set conflict counters, if profiling is enabled.
     pub fn set_profile(&self) -> Option<&bf_telemetry::SetCounts> {
         self.l2_4k.set_profile()
+    }
+
+    /// Zeroes the per-set conflict counters (start of a measurement
+    /// window).
+    pub fn reset_set_profile(&mut self) {
+        self.l2_4k.reset_set_profile();
     }
 
     /// Fault injection: flips one low PPN bit of a resident entry in the
@@ -441,21 +446,6 @@ impl TlbGroup {
     /// invalidated. See [`Tlb::scrub_flip`].
     pub fn scrub_l2_flip(&mut self, flip: &InjectedFlip) -> bool {
         self.l2_4k.scrub_flip(flip)
-    }
-
-    /// Aggregated per-role counters.
-    pub fn stats(&self) -> TlbGroupStats {
-        let mut l1d = self.l1d_4k.stats();
-        l1d.merge(&self.l1d_2m.stats());
-        l1d.merge(&self.l1d_1g.stats());
-        let mut l2 = self.l2_4k.stats();
-        l2.merge(&self.l2_2m.stats());
-        l2.merge(&self.l2_1g.stats());
-        TlbGroupStats {
-            l1i: self.l1i.stats(),
-            l1d,
-            l2,
-        }
     }
 
     fn all_structures(&mut self) -> [(PageSize, &mut Tlb); 7] {
@@ -590,11 +580,13 @@ mod tests {
 
     #[test]
     fn fetches_fill_and_hit_the_itlb() {
+        let registry = bf_telemetry::Registry::new();
         let mut group = TlbGroup::new(TlbGroupConfig::baseline());
+        group.attach_telemetry(&registry);
         group.fill(AccessKind::Fetch, fill_for(0x40_0000, 1, PageSize::Size4K));
         let acc = access(0x40_0000, 1, AccessKind::Fetch);
         assert!(group.lookup_l1(&acc).0.entry_present());
-        let stats = group.stats();
+        let stats = TlbGroupStats::from_snapshot(&registry.snapshot());
         assert_eq!(stats.l1i.instr_hits, 1);
         assert_eq!(stats.l1d.hits(), 0);
     }
@@ -628,13 +620,34 @@ mod tests {
     }
 
     #[test]
-    fn group_stats_aggregate_across_sizes() {
-        let mut group = TlbGroup::new(TlbGroupConfig::baseline());
-        group.fill(AccessKind::Read, fill_for(0x1000, 1, PageSize::Size4K));
-        group.fill(AccessKind::Read, fill_for(0x4000_0000, 1, PageSize::Size2M));
-        group.lookup_l1(&access(0x1000, 1, AccessKind::Read));
-        group.lookup_l1(&access(0x4000_0000, 1, AccessKind::Read));
-        let stats = group.stats();
-        assert_eq!(stats.l1d.data_hits, 2);
+    fn group_stats_aggregate_across_sizes_and_cores() {
+        let registry = bf_telemetry::Registry::new();
+        for _core in 0..2 {
+            let mut group = TlbGroup::new(TlbGroupConfig::baseline());
+            group.attach_telemetry(&registry);
+            group.fill(AccessKind::Read, fill_for(0x1000, 1, PageSize::Size4K));
+            group.fill(AccessKind::Read, fill_for(0x4000_0000, 1, PageSize::Size2M));
+            group.lookup_l1(&access(0x1000, 1, AccessKind::Read));
+            group.lookup_l1(&access(0x4000_0000, 1, AccessKind::Read));
+        }
+        let stats = TlbGroupStats::from_snapshot(&registry.snapshot());
+        assert_eq!(stats.l1d.data_hits, 4);
+        assert_eq!(stats.l2.fills, 4);
+    }
+
+    #[test]
+    fn l2_view_splits_fetches_from_data() {
+        let registry = bf_telemetry::Registry::new();
+        let mut group = TlbGroup::new(TlbGroupConfig::babelfish_aslr_hw());
+        group.attach_telemetry(&registry);
+        group.fill(AccessKind::Read, fill_for(0x9000, 1, PageSize::Size4K));
+        // The fetch hits the shared 4 KB entry; the data read misses in
+        // all three page-size structures, one miss each.
+        group.lookup_l2(&access(0x9000, 2, AccessKind::Fetch));
+        group.lookup_l2(&access(0x7000_0000, 1, AccessKind::Read));
+        let stats = TlbGroupStats::from_snapshot(&registry.snapshot());
+        assert_eq!((stats.l2.instr_hits, stats.l2.instr_shared_hits), (1, 1));
+        assert_eq!((stats.l2.data_hits, stats.l2.data_misses), (0, 3));
+        assert_eq!(stats.l2.instr_misses, 0);
     }
 }

@@ -60,7 +60,7 @@ pub mod tlb;
 
 pub use group::{TlbAccess, TlbGroup, TlbGroupConfig, TlbGroupStats};
 pub use opc::OpcField;
-pub use telemetry::{register_invariants, TlbTelemetry};
+pub use telemetry::{register_invariants, StreamCounters, TlbTelemetry};
 pub use tlb::{
     Hit, InjectedFlip, LookupMode, LookupRequest, LookupResult, Tlb, TlbConfig, TlbFill, TlbStats,
 };

@@ -6,9 +6,9 @@ use bf_telemetry::{Counter, InvariantSet, Registry};
 ///
 /// Every structure of a role holds a clone of the same handle set, so
 /// registry totals aggregate across the per-page-size structures by
-/// construction. The counters are incremented at exactly the sites that
-/// update [`crate::TlbStats`], which keeps the registry view equal to
-/// the legacy stats view field for field.
+/// construction. These counters are the only store of TLB activity:
+/// [`crate::TlbGroupStats::from_snapshot`] builds the per-stream view
+/// from them.
 ///
 /// Unattached structures hold default (standalone) handles: recording
 /// still works, it just is not visible in any registry.
@@ -34,6 +34,21 @@ pub struct TlbTelemetry {
     pub fills: Counter,
     /// Valid entries evicted (`tlb.<role>.evictions`).
     pub evictions: Counter,
+    /// The fetch-stream share of `hits`, `misses` and `shared_hits`
+    /// (`tlb.l2.instr_*`). Only the unified L2 keeps it: the L1i serves
+    /// only fetches and the L1d only data.
+    pub instr: Option<StreamCounters>,
+}
+
+/// Hit/miss/shared-hit counters of one access stream.
+#[derive(Debug, Clone, Default)]
+pub struct StreamCounters {
+    /// Lookups that hit.
+    pub hits: Counter,
+    /// Lookups that missed.
+    pub misses: Counter,
+    /// Hits on entries loaded by a different process.
+    pub shared_hits: Counter,
 }
 
 impl TlbTelemetry {
@@ -50,6 +65,11 @@ impl TlbTelemetry {
             bitmask_checks: counter("bitmask_checks"),
             fills: counter("fills"),
             evictions: counter("evictions"),
+            instr: (role == "l2").then(|| StreamCounters {
+                hits: counter("instr_hits"),
+                misses: counter("instr_misses"),
+                shared_hits: counter("instr_shared_hits"),
+            }),
         }
     }
 }
@@ -59,7 +79,9 @@ impl TlbTelemetry {
 /// recording sites in [`crate::Tlb`]:
 ///
 /// - shared hits and private-copy hits are subsets of hits;
-/// - every evicted valid entry was installed by a fill first.
+/// - every evicted valid entry was installed by a fill first;
+/// - the L2's fetch-stream hits, misses and shared hits are subsets of
+///   its totals.
 pub fn register_invariants(set: &mut InvariantSet) {
     for role in ["l1i", "l1d", "l2"] {
         set.counter_le(
@@ -76,6 +98,13 @@ pub fn register_invariants(set: &mut InvariantSet) {
             format!("tlb.{role}.evictions_within_fills"),
             &format!("tlb.{role}.evictions"),
             &format!("tlb.{role}.fills"),
+        );
+    }
+    for leaf in ["hits", "misses", "shared_hits"] {
+        set.counter_le(
+            format!("tlb.l2.instr_{leaf}_within_{leaf}"),
+            &format!("tlb.l2.instr_{leaf}"),
+            &format!("tlb.l2.{leaf}"),
         );
     }
 }

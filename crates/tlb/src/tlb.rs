@@ -258,6 +258,35 @@ pub struct TlbStats {
 }
 
 impl TlbStats {
+    /// The `tlb.<role>.*` counters of `snapshot` split by stream: the
+    /// fetch stream is all of the `l1i` role, the `instr_*` counters of
+    /// the `l2` role and nothing of the `l1d` role; data is the rest.
+    pub fn from_role(snapshot: &bf_telemetry::Snapshot, role: &str) -> Self {
+        let get = |leaf: &str| snapshot.counter(&format!("tlb.{role}.{leaf}"));
+        let (hits, misses, shared_hits) = (get("hits"), get("misses"), get("shared_hits"));
+        let (instr_hits, instr_misses, instr_shared_hits) = if role == "l1i" {
+            (hits, misses, shared_hits)
+        } else {
+            (
+                get("instr_hits"),
+                get("instr_misses"),
+                get("instr_shared_hits"),
+            )
+        };
+        TlbStats {
+            data_hits: hits - instr_hits,
+            data_misses: misses - instr_misses,
+            instr_hits,
+            instr_misses,
+            data_shared_hits: shared_hits - instr_shared_hits,
+            instr_shared_hits,
+            cow_faults: get("cow_faults"),
+            bitmask_checks: get("bitmask_checks"),
+            fills: get("fills"),
+            evictions: get("evictions"),
+        }
+    }
+
     /// Total hits (both streams).
     pub fn hits(&self) -> u64 {
         self.data_hits + self.instr_hits
@@ -266,20 +295,6 @@ impl TlbStats {
     /// Total misses (both streams).
     pub fn misses(&self) -> u64 {
         self.data_misses + self.instr_misses
-    }
-
-    /// Adds another structure's counters into this one.
-    pub fn merge(&mut self, other: &TlbStats) {
-        self.data_hits += other.data_hits;
-        self.data_misses += other.data_misses;
-        self.instr_hits += other.instr_hits;
-        self.instr_misses += other.instr_misses;
-        self.data_shared_hits += other.data_shared_hits;
-        self.instr_shared_hits += other.instr_shared_hits;
-        self.cow_faults += other.cow_faults;
-        self.bitmask_checks += other.bitmask_checks;
-        self.fills += other.fills;
-        self.evictions += other.evictions;
     }
 }
 
@@ -343,7 +358,6 @@ pub struct Tlb {
     /// fill/invalidate/flush so `resident_entries` never rescans.
     resident: usize,
     clock: u64,
-    stats: TlbStats,
     telem: TlbTelemetry,
     /// Per-set miss/eviction counters, allocated only when conflict
     /// profiling was requested ([`Tlb::enable_set_profile`]); `None`
@@ -375,7 +389,6 @@ impl Tlb {
             config,
             mode,
             clock: 0,
-            stats: TlbStats::default(),
             telem: TlbTelemetry::default(),
             set_profile: None,
         }
@@ -432,15 +445,9 @@ impl Tlb {
         self.mode
     }
 
-    /// Counters.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Zeroes the counters (start of a measurement window); resident
-    /// entries are untouched.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
+    /// Zeroes the per-set conflict counters, if profiling is enabled
+    /// (start of a measurement window); resident entries are untouched.
+    pub fn reset_set_profile(&mut self) {
         if let Some(sp) = self.set_profile.as_deref_mut() {
             sp.misses.fill(0);
             sp.evictions.fill(0);
@@ -526,7 +533,6 @@ impl Tlb {
         }
 
         if bitmask_consulted {
-            self.stats.bitmask_checks += 1;
             self.telem.bitmask_checks.incr();
         }
 
@@ -539,7 +545,6 @@ impl Tlb {
                 // Fig. 8 step 5: a write to a CoW page raises a fault even
                 // though the translation is present.
                 if req.is_write && hit.flags.contains(PageFlags::COW) {
-                    self.stats.cow_faults += 1;
                     self.telem.cow_faults.incr();
                     self.count_hit(kind, hit.shared);
                     LookupResult::CowFault(hit)
@@ -602,7 +607,6 @@ impl Tlb {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
                 .expect("set has at least one way");
-            self.stats.evictions += 1;
             self.telem.evictions.incr();
             if let Some(sp) = self.set_profile.as_deref_mut() {
                 sp.evictions[set_index] += 1;
@@ -635,7 +639,6 @@ impl Tlb {
             loader: fill.loader,
             last_used: clock,
         };
-        self.stats.fills += 1;
         self.telem.fills.incr();
         if ownership_transition {
             self.telem.ownership_transitions.incr();
@@ -750,30 +753,23 @@ impl Tlb {
         }
     }
 
-    fn count_hit(&mut self, kind: AccessKind, shared: bool) {
+    fn count_hit(&self, kind: AccessKind, shared: bool) {
         self.telem.hits.incr();
         if shared {
             self.telem.shared_hits.incr();
         }
-        if kind.is_fetch() {
-            self.stats.instr_hits += 1;
+        if let (true, Some(instr)) = (kind.is_fetch(), &self.telem.instr) {
+            instr.hits.incr();
             if shared {
-                self.stats.instr_shared_hits += 1;
-            }
-        } else {
-            self.stats.data_hits += 1;
-            if shared {
-                self.stats.data_shared_hits += 1;
+                instr.shared_hits.incr();
             }
         }
     }
 
-    fn count_miss(&mut self, kind: AccessKind) {
+    fn count_miss(&self, kind: AccessKind) {
         self.telem.misses.incr();
-        if kind.is_fetch() {
-            self.stats.instr_misses += 1;
-        } else {
-            self.stats.data_misses += 1;
+        if let (true, Some(instr)) = (kind.is_fetch(), &self.telem.instr) {
+            instr.misses.incr();
         }
     }
 }
@@ -903,7 +899,7 @@ mod tests {
             !hit.bitmask_consulted,
             "ORPC=0 must short-circuit (Fig. 5b)"
         );
-        assert_eq!(tlb.stats().bitmask_checks, 0);
+        assert_eq!(tlb.telem.bitmask_checks.get(), 0);
     }
 
     #[test]
@@ -918,7 +914,7 @@ mod tests {
             LookupResult::CowFault(_) => {}
             other => panic!("expected CoW fault, got {other:?}"),
         }
-        assert_eq!(tlb.stats().cow_faults, 1);
+        assert_eq!(tlb.telem.cow_faults.get(), 1);
         // Reads of the same entry do not fault.
         r.is_write = false;
         assert!(tlb.lookup(&r).hit().is_some());
@@ -930,21 +926,45 @@ mod tests {
         tlb.fill(fill(10, 1, 5, 100));
         tlb.lookup(&req(10, 1, 5, 100)); // own entry: not shared
         tlb.lookup(&req(10, 2, 5, 200)); // other process: shared
-        let stats = tlb.stats();
-        assert_eq!(stats.data_hits, 2);
-        assert_eq!(stats.data_shared_hits, 1);
+        assert_eq!(tlb.telem.hits.get(), 2);
+        assert_eq!(tlb.telem.shared_hits.get(), 1);
     }
 
     #[test]
     fn instruction_stream_counts_separately() {
+        let registry = bf_telemetry::Registry::new();
         let mut tlb = bf_tlb();
+        tlb.set_telemetry(TlbTelemetry::for_role(&registry, "l2"));
         tlb.fill(fill(10, 1, 5, 100));
         tlb.lookup_kind(&req(10, 1, 5, 100), AccessKind::Fetch);
         tlb.lookup_kind(&req(99, 1, 5, 100), AccessKind::Fetch);
-        let stats = tlb.stats();
+        tlb.lookup_kind(&req(10, 2, 5, 200), AccessKind::Read);
+        let stats = TlbStats::from_role(&registry.snapshot(), "l2");
         assert_eq!(stats.instr_hits, 1);
         assert_eq!(stats.instr_misses, 1);
-        assert_eq!(stats.data_hits, 0);
+        assert_eq!(stats.instr_shared_hits, 0);
+        assert_eq!(stats.data_hits, 1);
+        assert_eq!(stats.data_shared_hits, 1);
+        assert_eq!(stats.data_misses, 0);
+    }
+
+    #[test]
+    fn l1_roles_keep_no_stream_split() {
+        let registry = bf_telemetry::Registry::new();
+        for role in ["l1i", "l1d"] {
+            let mut tlb = Tlb::new(TlbConfig::l1d_4k(), LookupMode::Conventional);
+            tlb.set_telemetry(TlbTelemetry::for_role(&registry, role));
+            assert!(tlb.telem.instr.is_none());
+            tlb.fill(fill(10, 1, 5, 100));
+            tlb.lookup(&req(10, 1, 5, 100));
+            tlb.lookup(&req(99, 1, 5, 100));
+        }
+        let snapshot = registry.snapshot();
+        assert!(!snapshot.counters.contains_key("tlb.l1i.instr_hits"));
+        let l1i = TlbStats::from_role(&snapshot, "l1i");
+        assert_eq!((l1i.instr_hits, l1i.instr_misses, l1i.hits()), (1, 1, 1));
+        let l1d = TlbStats::from_role(&snapshot, "l1d");
+        assert_eq!((l1d.data_hits, l1d.data_misses, l1d.misses()), (1, 1, 1));
     }
 
     #[test]
@@ -987,7 +1007,7 @@ mod tests {
         tlb.fill(fill(3, 1, 0, 1)); // evicts vpn 2
         assert!(tlb.lookup(&req(1, 1, 0, 1)).entry_present());
         assert!(!tlb.lookup(&req(2, 1, 0, 1)).entry_present());
-        assert_eq!(tlb.stats().evictions, 1);
+        assert_eq!(tlb.telem.evictions.get(), 1);
     }
 
     #[test]
@@ -1207,25 +1227,5 @@ mod tests {
         for selector in [0u64, 1, 0xdead_beef, u64::MAX] {
             assert_eq!(a.inject_ppn_flip(selector), b.inject_ppn_flip(selector));
         }
-    }
-
-    #[test]
-    fn stats_merge_adds_fields() {
-        let mut a = TlbStats {
-            data_hits: 1,
-            instr_misses: 2,
-            ..Default::default()
-        };
-        let b = TlbStats {
-            data_hits: 3,
-            cow_faults: 1,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.data_hits, 4);
-        assert_eq!(a.instr_misses, 2);
-        assert_eq!(a.cow_faults, 1);
-        assert_eq!(a.hits(), 4);
-        assert_eq!(a.misses(), 2);
     }
 }

@@ -40,6 +40,8 @@ fn setup(mode: Mode) -> Scenario {
     let warm = kernel.spawn(other_group).unwrap();
     let warm_va = kernel.mmap(warm, req).unwrap();
     kernel.handle_fault(warm, warm_va, false).unwrap();
+    // The scenario's measurement window starts after this setup fault.
+    machine.reset_measurement();
     Scenario {
         machine,
         a,

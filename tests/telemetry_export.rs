@@ -1,6 +1,6 @@
-//! The JSON results schema: exported documents must agree with the
-//! legacy in-memory stats, and the config types must survive a
-//! serialize → parse round trip.
+//! The JSON results schema: the exported `stats` view must follow the
+//! stream split of the exported registry counters, and the config types
+//! must survive a serialize → parse round trip.
 
 use babelfish::experiment::{run_serving, ExperimentConfig};
 use babelfish::{Mode, ServingVariant, SimConfig};
@@ -13,68 +13,58 @@ fn cfg() -> ExperimentConfig {
     cfg
 }
 
-/// Sums the data+instr hit (or miss) fields of one serialized TLB level.
-fn level_total(stats: &Value, level: &str, outcome: &str) -> u64 {
-    let level = stats
-        .get("tlb")
-        .and_then(|t| t.get(level))
-        .unwrap_or_else(|| panic!("stats.tlb.{level} missing"));
-    ["data", "instr"]
-        .iter()
-        .map(|side| {
-            level
-                .get(&format!("{side}_{outcome}"))
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("stats.tlb field {side}_{outcome} missing"))
-        })
-        .sum()
+/// One `u64` member of a serialized JSON object.
+fn field(object: &Value, name: &str) -> u64 {
+    object
+        .get(name)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("{name} missing"))
 }
 
 #[test]
-fn exported_json_tlb_totals_match_legacy_stats() {
+fn exported_json_stats_follow_the_stream_split() {
     let result = run_serving(Mode::babelfish(), ServingVariant::MongoDb, &cfg());
 
     // Serialize the whole result document and re-parse it from text, the
     // same path the figure binaries take through `write_json`.
     let text = serde_json::to_string_pretty(&result).expect("serialize");
     let doc = serde_json::from_str(&text).expect("parse");
-    let stats = doc.get("stats").expect("stats member");
-
-    // The serialized legacy stats agree with the in-memory ones.
-    for (level, legacy) in [
-        ("l1d", &result.stats.tlb.l1d),
-        ("l1i", &result.stats.tlb.l1i),
-        ("l2", &result.stats.tlb.l2),
-    ] {
-        assert_eq!(
-            level_total(stats, level, "hits"),
-            legacy.hits(),
-            "{level} hits"
-        );
-        assert_eq!(
-            level_total(stats, level, "misses"),
-            legacy.misses(),
-            "{level} misses"
-        );
-    }
-
-    // And the telemetry counters in the same document agree with both.
+    let tlb = doc
+        .get("stats")
+        .and_then(|s| s.get("tlb"))
+        .expect("stats.tlb member");
     let counters = doc
         .get("telemetry")
         .and_then(|t| t.get("counters"))
-        .and_then(Value::as_object)
         .expect("telemetry.counters member");
-    let counter = |name: &str| {
-        counters
-            .get(name)
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| panic!("{name} missing"))
-    };
-    assert_eq!(counter("tlb.l1d.hits"), result.stats.tlb.l1d.hits());
-    assert_eq!(counter("tlb.l1d.misses"), result.stats.tlb.l1d.misses());
-    assert_eq!(counter("tlb.l2.hits"), result.stats.tlb.l2.hits());
-    assert_eq!(counter("tlb.l2.misses"), result.stats.tlb.l2.misses());
-    assert_eq!(counter("sim.walks"), result.stats.walks);
+
+    // Each role's two streams sum to its registry totals; the L1i holds
+    // only fetches, the L1d only data, and the L2's fetch stream is its
+    // `tlb.l2.instr_*` counters.
+    for level in ["l1i", "l1d", "l2"] {
+        let stats = tlb.get(level).expect("stats.tlb level");
+        for outcome in ["hits", "misses", "shared_hits"] {
+            let data = field(stats, &format!("data_{outcome}"));
+            let instr = field(stats, &format!("instr_{outcome}"));
+            let total = field(counters, &format!("tlb.{level}.{outcome}"));
+            assert_eq!(data + instr, total, "{level} {outcome}");
+            match level {
+                "l1i" => assert_eq!(data, 0, "l1i data_{outcome}"),
+                "l1d" => assert_eq!(instr, 0, "l1d instr_{outcome}"),
+                _ => assert_eq!(instr, field(counters, &format!("tlb.l2.instr_{outcome}"))),
+            }
+        }
+    }
+    let l2 = tlb.get("l2").expect("stats.tlb.l2");
+    assert!(field(l2, "instr_hits") > 0 && field(l2, "data_hits") > 0);
+    assert!(!counters
+        .as_object()
+        .unwrap()
+        .contains_key("tlb.l1i.instr_hits"));
+    assert_eq!(
+        field(doc.get("stats").unwrap(), "walks"),
+        field(counters, "sim.walks")
+    );
 }
 
 #[test]
