@@ -111,26 +111,28 @@ impl TranslationBreakdown {
     }
 }
 
-/// Aggregate machine statistics for one measurement window.
+/// Aggregate machine statistics for one measurement window (see
+/// [`crate::Machine::stats`]).
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct MachineStats {
     /// Instructions retired (memory accesses + non-memory instructions).
     pub instructions: u64,
-    /// Aggregated TLB counters across cores.
+    /// Per-stream TLB counters across cores (the `tlb.*` counters).
     pub tlb: TlbGroupStats,
     /// Completed-request latencies.
     pub latency: LatencyStats,
     /// Cycle breakdown.
     pub breakdown: TranslationBreakdown,
-    /// Page walks performed.
+    /// Page walks performed (`sim.walks`).
     pub walks: u64,
-    /// Minor faults observed by the machine.
+    /// Minor faults serviced (`os.fault.minor_cycles` samples).
     pub minor_faults: u64,
-    /// Major faults observed.
+    /// Major faults serviced (`os.fault.major_cycles` samples).
     pub major_faults: u64,
-    /// CoW faults observed.
+    /// CoW faults serviced (`os.fault.cow_cycles` samples).
     pub cow_faults: u64,
-    /// Faults avoided through shared page tables.
+    /// Faults avoided through shared page tables
+    /// (`os.fault.shared_resolved_cycles` samples).
     pub shared_resolved: u64,
 }
 

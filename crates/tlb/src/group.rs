@@ -634,20 +634,4 @@ mod tests {
         assert_eq!(stats.l1d.data_hits, 4);
         assert_eq!(stats.l2.fills, 4);
     }
-
-    #[test]
-    fn l2_view_splits_fetches_from_data() {
-        let registry = bf_telemetry::Registry::new();
-        let mut group = TlbGroup::new(TlbGroupConfig::babelfish_aslr_hw());
-        group.attach_telemetry(&registry);
-        group.fill(AccessKind::Read, fill_for(0x9000, 1, PageSize::Size4K));
-        // The fetch hits the shared 4 KB entry; the data read misses in
-        // all three page-size structures, one miss each.
-        group.lookup_l2(&access(0x9000, 2, AccessKind::Fetch));
-        group.lookup_l2(&access(0x7000_0000, 1, AccessKind::Read));
-        let stats = TlbGroupStats::from_snapshot(&registry.snapshot());
-        assert_eq!((stats.l2.instr_hits, stats.l2.instr_shared_hits), (1, 1));
-        assert_eq!((stats.l2.data_hits, stats.l2.data_misses), (0, 3));
-        assert_eq!(stats.l2.instr_misses, 0);
-    }
 }

@@ -261,7 +261,7 @@ impl TlbStats {
     /// The `tlb.<role>.*` counters of `snapshot` split by stream: the
     /// fetch stream is all of the `l1i` role, the `instr_*` counters of
     /// the `l2` role and nothing of the `l1d` role; data is the rest.
-    pub fn from_role(snapshot: &bf_telemetry::Snapshot, role: &str) -> Self {
+    pub(crate) fn from_role(snapshot: &bf_telemetry::Snapshot, role: &str) -> Self {
         let get = |leaf: &str| snapshot.counter(&format!("tlb.{role}.{leaf}"));
         let (hits, misses, shared_hits) = (get("hits"), get("misses"), get("shared_hits"));
         let (instr_hits, instr_misses, instr_shared_hits) = if role == "l1i" {
@@ -946,25 +946,6 @@ mod tests {
         assert_eq!(stats.data_hits, 1);
         assert_eq!(stats.data_shared_hits, 1);
         assert_eq!(stats.data_misses, 0);
-    }
-
-    #[test]
-    fn l1_roles_keep_no_stream_split() {
-        let registry = bf_telemetry::Registry::new();
-        for role in ["l1i", "l1d"] {
-            let mut tlb = Tlb::new(TlbConfig::l1d_4k(), LookupMode::Conventional);
-            tlb.set_telemetry(TlbTelemetry::for_role(&registry, role));
-            assert!(tlb.telem.instr.is_none());
-            tlb.fill(fill(10, 1, 5, 100));
-            tlb.lookup(&req(10, 1, 5, 100));
-            tlb.lookup(&req(99, 1, 5, 100));
-        }
-        let snapshot = registry.snapshot();
-        assert!(!snapshot.counters.contains_key("tlb.l1i.instr_hits"));
-        let l1i = TlbStats::from_role(&snapshot, "l1i");
-        assert_eq!((l1i.instr_hits, l1i.instr_misses, l1i.hits()), (1, 1, 1));
-        let l1d = TlbStats::from_role(&snapshot, "l1d");
-        assert_eq!((l1d.data_hits, l1d.data_misses, l1d.misses()), (1, 1, 1));
     }
 
     #[test]
