@@ -42,7 +42,7 @@ fn main() {
     let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, &args.cfg);
     let kernel = machine.kernel();
     let store = kernel.store();
-    let table_bytes = store.stats().live_tables * 4096;
+    let table_bytes = store.live_tables() * 4096;
     let maskpage_bytes = kernel.maskpage_count() as u64 * 4096;
     let counter_bytes = store.counter_bytes();
     println!("live page-table bytes:   {table_bytes}");

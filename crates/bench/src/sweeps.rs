@@ -2,7 +2,7 @@
 //! determinism tests.
 //!
 //! Each function builds the figure's experiment cells as a
-//! [`Sweep`](babelfish::exec::Sweep), runs them on `threads` workers,
+//! [`Sweep`], runs them on `threads` workers,
 //! and reassembles the results in cell order. Every cell constructs its
 //! own `Machine` (and therefore its own private telemetry `Registry`),
 //! so cells share no mutable state and the collected rows — and any

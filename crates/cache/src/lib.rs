@@ -3,8 +3,9 @@
 //! The paper's SST-based memory hierarchy is reproduced here as
 //! physically-indexed, physically-tagged set-associative caches:
 //!
-//! * [`SetAssocCache`] — one cache level: LRU replacement, write-back with
-//!   dirty bits, 64 B lines.
+//! * [`SetAssocCache`] — one cache level: LRU replacement over 64 B
+//!   lines, tracking residency only (no dirty bits: write-back traffic
+//!   costs no cycles in this model).
 //! * [`CacheHierarchy`] — per-core L1I/L1D/L2 plus a shared L3 in front of
 //!   [`bf_mem::Dram`]. Ordinary loads/stores enter at the L1; hardware
 //!   page-walker requests enter at the L2, as in Fig. 7 ("the page walker
@@ -27,18 +28,15 @@
 //!
 //! let mut l1 = SetAssocCache::new(CacheConfig::l1_data());
 //! let line = 0x1234;
-//! assert!(!l1.probe_and_touch(line, false)); // cold miss
-//! l1.fill(line, false);
-//! assert!(l1.probe_and_touch(line, false)); // now a hit
+//! assert!(!l1.probe_and_touch(line)); // cold miss
+//! l1.fill(line);
+//! assert!(l1.probe_and_touch(line)); // now a hit
 //! ```
 
 pub mod hierarchy;
 pub mod pwc;
 pub mod set_assoc;
 
-pub use hierarchy::{
-    register_invariants, AccessOrigin, CacheHierarchy, HierarchyConfig, HierarchyStats, LevelStats,
-    ServedBy,
-};
-pub use pwc::{PageWalkCache, PwcConfig, PwcStats};
-pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+pub use hierarchy::{register_invariants, AccessOrigin, CacheHierarchy, HierarchyConfig, ServedBy};
+pub use pwc::{PageWalkCache, PwcConfig};
+pub use set_assoc::{CacheConfig, SetAssocCache};

@@ -1,4 +1,4 @@
-//! A single set-associative, write-back cache level.
+//! A single set-associative cache level.
 
 use bf_types::{Cycles, CACHE_LINE_BYTES};
 
@@ -76,43 +76,17 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss/writeback counters exposed by [`SetAssocCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct CacheStats {
-    /// Probes that found the line.
-    pub hits: u64,
-    /// Probes that missed.
-    pub misses: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Valid lines evicted to make room.
-    pub evictions: u64,
-    /// Evicted lines that were dirty (write-back traffic).
-    pub writebacks: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in [0, 1]; 0 when the cache has not been probed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     valid: bool,
     tag: u64,
-    dirty: bool,
     last_used: u64,
 }
 
-/// One physically-tagged, set-associative, write-back cache with LRU
-/// replacement.
+/// One physically-tagged, set-associative cache with LRU replacement.
+///
+/// It tracks residency only: no level charges cycles for write-back
+/// traffic, so lines carry no dirty bit.
 ///
 /// The cache operates on *line numbers* (`PhysAddr::cache_line()`), not raw
 /// addresses, so callers decide the line granularity once.
@@ -123,10 +97,9 @@ struct Way {
 /// use bf_cache::{CacheConfig, SetAssocCache};
 ///
 /// let mut cache = SetAssocCache::new(CacheConfig::l1_data());
-/// cache.fill(42, true); // bring in line 42, dirtied
-/// assert!(cache.probe_and_touch(42, false));
-/// cache.invalidate(42);
-/// assert!(!cache.probe_and_touch(42, false));
+/// assert!(!cache.probe_and_touch(42)); // cold miss
+/// cache.fill(42);
+/// assert!(cache.probe_and_touch(42));
 /// ```
 #[derive(Debug)]
 pub struct SetAssocCache {
@@ -139,7 +112,6 @@ pub struct SetAssocCache {
     /// `log2(sets)`: a line's tag is `line >> set_shift`.
     set_shift: u32,
     clock: u64,
-    stats: CacheStats,
 }
 
 impl SetAssocCache {
@@ -164,7 +136,6 @@ impl SetAssocCache {
             set_mask: sets as u64 - 1,
             set_shift: sets.trailing_zeros(),
             clock: 0,
-            stats: CacheStats::default(),
         }
     }
 
@@ -173,35 +144,24 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Looks up `line`; on a hit, refreshes LRU state and (for writes)
-    /// sets the dirty bit. Returns whether the line was present.
-    pub fn probe_and_touch(&mut self, line: u64, is_write: bool) -> bool {
+    /// Looks up `line`; on a hit, refreshes LRU state. Returns whether
+    /// the line was present.
+    pub fn probe_and_touch(&mut self, line: u64) -> bool {
         self.clock += 1;
         let clock = self.clock;
         let tag = line >> self.set_shift;
         for way in self.set_mut(line) {
             if way.valid && way.tag == tag {
                 way.last_used = clock;
-                if is_write {
-                    way.dirty = true;
-                }
-                self.stats.hits += 1;
                 return true;
             }
         }
-        self.stats.misses += 1;
         false
     }
 
     /// Inserts `line` (evicting the LRU way if the set is full) and
     /// returns the evicted line number if a valid line was displaced.
-    /// `dirty` marks the incoming line as modified.
-    pub fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
+    pub fn fill(&mut self, line: u64) -> Option<u64> {
         self.clock += 1;
         let clock = self.clock;
         let tag = line >> self.set_shift;
@@ -212,7 +172,6 @@ impl SetAssocCache {
         // Already present (e.g. racing fills): refresh.
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.last_used = clock;
-            way.dirty |= dirty;
             return None;
         }
 
@@ -226,29 +185,12 @@ impl SetAssocCache {
         *victim = Way {
             valid: true,
             tag,
-            dirty,
             last_used: clock,
         };
-        self.stats.fills += 1;
         if evicted.valid {
-            self.stats.evictions += 1;
-            if evicted.dirty {
-                self.stats.writebacks += 1;
-            }
             Some((evicted.tag << set_shift) | set_bits)
         } else {
             None
-        }
-    }
-
-    /// Drops `line` if present (used for cache-coherent invalidations of
-    /// page-table lines on unmap).
-    pub fn invalidate(&mut self, line: u64) {
-        let tag = line >> self.set_shift;
-        for way in self.set_mut(line) {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-            }
         }
     }
 
@@ -290,80 +232,49 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut cache = tiny();
-        assert!(!cache.probe_and_touch(100, false));
-        cache.fill(100, false);
-        assert!(cache.probe_and_touch(100, false));
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert!(!cache.probe_and_touch(100));
+        cache.fill(100);
+        assert!(cache.probe_and_touch(100));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut cache = tiny();
         // Lines 0, 4, 8 map to set 0 (4 sets).
-        cache.fill(0, false);
-        cache.fill(4, false);
-        cache.probe_and_touch(0, false); // 0 is now MRU
-        let evicted = cache.fill(8, false);
+        cache.fill(0);
+        cache.fill(4);
+        cache.probe_and_touch(0); // 0 is now MRU
+        let evicted = cache.fill(8);
         assert_eq!(evicted, Some(4), "LRU way (line 4) should be evicted");
-        assert!(cache.probe_and_touch(0, false));
-        assert!(!cache.probe_and_touch(4, false));
+        assert!(cache.probe_and_touch(0));
+        assert!(!cache.probe_and_touch(4));
     }
 
     #[test]
     fn eviction_reports_reconstructed_line() {
         let mut cache = tiny();
-        cache.fill(3, false); // set 3
-        cache.fill(7, false); // set 3
-        let evicted = cache.fill(11, false); // set 3, evicts line 3
+        cache.fill(3); // set 3
+        cache.fill(7); // set 3
+        let evicted = cache.fill(11); // set 3, evicts line 3
         assert_eq!(evicted, Some(3));
-    }
-
-    #[test]
-    fn dirty_eviction_counts_writeback() {
-        let mut cache = tiny();
-        cache.fill(0, true);
-        cache.fill(4, false);
-        cache.fill(8, false); // evicts dirty line 0
-        assert_eq!(cache.stats().writebacks, 1);
-        assert_eq!(cache.stats().evictions, 2 - 1);
-    }
-
-    #[test]
-    fn write_probe_dirties_line() {
-        let mut cache = tiny();
-        cache.fill(0, false);
-        cache.probe_and_touch(0, true);
-        cache.fill(4, false);
-        cache.fill(8, false); // evicts line 0, now dirty
-        assert_eq!(cache.stats().writebacks, 1);
     }
 
     #[test]
     fn refill_of_resident_line_does_not_evict() {
         let mut cache = tiny();
-        cache.fill(0, false);
-        assert_eq!(cache.fill(0, true), None);
+        cache.fill(0);
+        assert_eq!(cache.fill(0), None);
         assert_eq!(cache.resident_lines(), 1);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut cache = tiny();
-        cache.fill(5, false);
-        cache.invalidate(5);
-        assert!(!cache.probe_and_touch(5, false));
-        assert_eq!(cache.resident_lines(), 0);
     }
 
     #[test]
     fn distinct_sets_do_not_conflict() {
         let mut cache = tiny();
         for line in 0..4 {
-            cache.fill(line, false);
+            cache.fill(line);
         }
         for line in 0..4 {
-            assert!(cache.probe_and_touch(line, false));
+            assert!(cache.probe_and_touch(line));
         }
     }
 
@@ -385,7 +296,6 @@ mod tests {
     struct Oracle {
         sets: Vec<Vec<Way>>,
         clock: u64,
-        stats: CacheStats,
     }
 
     impl Oracle {
@@ -393,7 +303,6 @@ mod tests {
             Oracle {
                 sets: vec![vec![Way::default(); config.ways]; config.sets()],
                 clock: 0,
-                stats: CacheStats::default(),
             }
         }
 
@@ -402,29 +311,25 @@ mod tests {
             ((line % sets) as usize, line / sets)
         }
 
-        fn probe_and_touch(&mut self, line: u64, is_write: bool) -> bool {
+        fn probe_and_touch(&mut self, line: u64) -> bool {
             self.clock += 1;
             let (set, tag) = self.split(line);
             for way in self.sets[set].iter_mut() {
                 if way.valid && way.tag == tag {
                     way.last_used = self.clock;
-                    way.dirty |= is_write;
-                    self.stats.hits += 1;
                     return true;
                 }
             }
-            self.stats.misses += 1;
             false
         }
 
-        fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
+        fn fill(&mut self, line: u64) -> Option<u64> {
             self.clock += 1;
             let (set_index, tag) = self.split(line);
             let sets_count = self.sets.len() as u64;
             let set = &mut self.sets[set_index];
             if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
                 way.last_used = self.clock;
-                way.dirty |= dirty;
                 return None;
             }
             let victim_index = set
@@ -437,27 +342,12 @@ mod tests {
             set[victim_index] = Way {
                 valid: true,
                 tag,
-                dirty,
                 last_used: self.clock,
             };
-            self.stats.fills += 1;
             if victim.valid {
-                self.stats.evictions += 1;
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                }
                 Some(victim.tag * sets_count + set_index as u64)
             } else {
                 None
-            }
-        }
-
-        fn invalidate(&mut self, line: u64) {
-            let (set, tag) = self.split(line);
-            for way in self.sets[set].iter_mut() {
-                if way.valid && way.tag == tag {
-                    way.valid = false;
-                }
             }
         }
 
@@ -467,8 +357,9 @@ mod tests {
     }
 
     /// Replays `ops` on the arena and the oracle, comparing every result.
-    /// An op is (kind, set, tag, raw line): lines mostly crowd four sets
-    /// so fills evict; kind 4 uses the raw line to reach every set.
+    /// An op is (kind, set, tag, raw line): kinds 0-1 probe, 2-3 fill.
+    /// Lines mostly crowd four sets so fills evict; odd kinds use the
+    /// raw line to reach every set.
     fn matches_oracle(
         config: CacheConfig,
         ops: &[(u8, u64, u64, u64)],
@@ -477,22 +368,15 @@ mod tests {
         let mut oracle = Oracle::new(config);
         let sets = config.sets() as u64;
         for &(kind, set, tag, raw) in ops {
-            let line = if kind == 4 { raw } else { tag * sets + set };
-            match kind {
-                0 | 4 => proptest::prop_assert_eq!(
-                    cache.probe_and_touch(line, tag % 2 == 0),
-                    oracle.probe_and_touch(line, tag % 2 == 0)
-                ),
-                1 | 2 => proptest::prop_assert_eq!(
-                    cache.fill(line, kind == 2),
-                    oracle.fill(line, kind == 2)
-                ),
-                _ => {
-                    cache.invalidate(line);
-                    oracle.invalidate(line);
-                }
+            let line = if kind % 2 == 1 { raw } else { tag * sets + set };
+            if kind < 2 {
+                proptest::prop_assert_eq!(
+                    cache.probe_and_touch(line),
+                    oracle.probe_and_touch(line)
+                );
+            } else {
+                proptest::prop_assert_eq!(cache.fill(line), oracle.fill(line));
             }
-            proptest::prop_assert_eq!(cache.stats(), oracle.stats);
         }
         proptest::prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
         Ok(())
@@ -509,22 +393,13 @@ mod tests {
 
     proptest::proptest! {
         /// The flat arena gives the nested-`Vec` LRU's hits, evicted
-        /// lines, stats and residency on the tiny and Table I geometries.
+        /// lines and residency on the tiny and Table I geometries.
         #[test]
         fn flat_arena_matches_nested_lru(
             index in 0u8..4,
-            ops in proptest::collection::vec((0u8..6, 0u64..4, 0u64..40, 0u64..1 << 40), 1..300)
+            ops in proptest::collection::vec((0u8..4, 0u64..4, 0u64..40, 0u64..1 << 40), 1..300)
         ) {
             matches_oracle(geometry(index), &ops)?;
         }
-    }
-
-    #[test]
-    fn hit_rate_reflects_traffic() {
-        let mut cache = tiny();
-        cache.fill(0, false);
-        cache.probe_and_touch(0, false);
-        cache.probe_and_touch(1, false);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 }

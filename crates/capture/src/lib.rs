@@ -1,7 +1,7 @@
 //! The `.bft` binary trace format: compact capture + deterministic
 //! replay of simulator access streams (DESIGN.md §10).
 //!
-//! A trace is everything [`bf_sim::Machine`]'s scheduler-driven loop
+//! A trace is everything `bf_sim::Machine`'s scheduler-driven loop
 //! consumes during a measurement run — memory accesses with their
 //! leading non-memory instruction counts, context-switch charges,
 //! request boundaries, and the warm-up/measure reset marker — so a

@@ -56,30 +56,6 @@ impl DramConfig {
     }
 }
 
-/// Aggregate counters exposed by [`Dram::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct DramStats {
-    /// Total accesses served.
-    pub accesses: u64,
-    /// Accesses that hit an open row buffer.
-    pub row_hits: u64,
-    /// Accesses that required activate (+ precharge).
-    pub row_misses: u64,
-    /// Total CPU cycles spent queueing on busy banks.
-    pub queue_cycles: u64,
-}
-
-impl DramStats {
-    /// Row-buffer hit rate in [0, 1]; 0 when idle.
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct BankState {
     open_row: Option<u64>,
@@ -111,28 +87,18 @@ struct BankState {
 pub struct Dram {
     config: DramConfig,
     banks: Vec<BankState>,
-    stats: DramStats,
 }
 
 impl Dram {
     /// Creates a DRAM model with the given organisation.
     pub fn new(config: DramConfig) -> Self {
         let banks = vec![BankState::default(); config.total_banks()];
-        Dram {
-            config,
-            banks,
-            stats: DramStats::default(),
-        }
+        Dram { config, banks }
     }
 
     /// The configuration this model was built with.
     pub fn config(&self) -> &DramConfig {
         &self.config
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> DramStats {
-        self.stats
     }
 
     /// Serves one cache-line read/fill at `now`, returning its latency in
@@ -143,22 +109,13 @@ impl Dram {
 
         let queue = bank.busy_until.saturating_sub(now);
         let service = match bank.open_row {
-            Some(open) if open == row => {
-                self.stats.row_hits += 1;
-                self.config.row_hit_cycles
-            }
-            _ => {
-                self.stats.row_misses += 1;
-                self.config.row_miss_cycles
-            }
+            Some(open) if open == row => self.config.row_hit_cycles,
+            _ => self.config.row_miss_cycles,
         };
         bank.open_row = Some(row);
         // The bank is occupied for the service window (at least the
         // configured minimum gap), creating conflicts under bursts.
         bank.busy_until = now + queue + service.max(self.config.bank_busy_cycles);
-
-        self.stats.accesses += 1;
-        self.stats.queue_cycles += queue;
         queue + service
     }
 
@@ -184,7 +141,8 @@ mod tests {
 
     #[test]
     fn row_hit_is_faster_than_miss() {
-        let mut dram = Dram::new(quiet_config());
+        let config = quiet_config();
+        let mut dram = Dram::new(config);
         let miss = dram.access(PhysAddr::new(0x4_0000), 0);
         // 128 bytes later: same channel (even line), same row.
         let hit = dram.access(PhysAddr::new(0x4_0080), 100_000);
@@ -192,8 +150,8 @@ mod tests {
             hit < miss,
             "open-row access should be faster ({hit} vs {miss})"
         );
-        assert_eq!(dram.stats().row_hits, 1);
-        assert_eq!(dram.stats().row_misses, 1);
+        assert_eq!(miss, config.row_miss_cycles);
+        assert_eq!(hit, config.row_hit_cycles);
     }
 
     #[test]
@@ -202,10 +160,10 @@ mod tests {
         let mut dram = Dram::new(config);
         let addr = PhysAddr::new(0x8_0000);
         let _ = dram.access(addr, 0);
-        // Immediately again: must queue behind the busy bank.
+        // Immediately again: must queue behind the busy bank until the
+        // first access's row miss completes, then hit the open row.
         let latency = dram.access(addr, 1);
-        assert!(latency > config.row_hit_cycles);
-        assert!(dram.stats().queue_cycles > 0);
+        assert_eq!(latency, config.row_miss_cycles - 1 + config.row_hit_cycles);
     }
 
     #[test]
@@ -234,24 +192,6 @@ mod tests {
             bank_a, bank_b,
             "adjacent lines should map to different channels"
         );
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut dram = Dram::new(quiet_config());
-        for i in 0..10 {
-            dram.access(PhysAddr::new(i * 64), i * 1000);
-        }
-        let stats = dram.stats();
-        assert_eq!(stats.accesses, 10);
-        assert_eq!(stats.row_hits + stats.row_misses, 10);
-        assert!(stats.row_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn hit_rate_of_idle_dram_is_zero() {
-        let dram = Dram::new(quiet_config());
-        assert_eq!(dram.stats().row_hit_rate(), 0.0);
     }
 
     #[test]

@@ -38,20 +38,6 @@ pub struct FrameAllocator {
     free_list: Vec<Ppn>,
     /// Reference count per live frame. Absent ⇒ free.
     refcounts: FastMap<Ppn, u32>,
-    stats: FrameAllocatorStats,
-}
-
-/// Counters exposed by [`FrameAllocator::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameAllocatorStats {
-    /// Singleton allocations served.
-    pub allocs: u64,
-    /// Contiguous-run allocations served.
-    pub contiguous_allocs: u64,
-    /// Frames whose last reference was dropped.
-    pub frees: u64,
-    /// High-water mark of simultaneously live frames.
-    pub peak_live: u64,
 }
 
 impl FrameAllocator {
@@ -68,7 +54,6 @@ impl FrameAllocator {
             bump_high: capacity,
             free_list: Vec::new(),
             refcounts: FastMap::default(),
-            stats: FrameAllocatorStats::default(),
         }
     }
 
@@ -80,11 +65,6 @@ impl FrameAllocator {
     /// Number of frames currently live (reference count ≥ 1).
     pub fn live_frames(&self) -> u64 {
         self.refcounts.len() as u64
-    }
-
-    /// Allocation and free counters.
-    pub fn stats(&self) -> FrameAllocatorStats {
-        self.stats
     }
 
     /// Allocates one 4 KB frame with reference count 1.
@@ -103,8 +83,6 @@ impl FrameAllocator {
             return None;
         };
         self.refcounts.insert(frame, 1);
-        self.stats.allocs += 1;
-        self.note_peak();
         Some(frame)
     }
 
@@ -127,8 +105,6 @@ impl FrameAllocator {
         for i in 0..count {
             self.refcounts.insert(Ppn::new(start + i), 1);
         }
-        self.stats.contiguous_allocs += 1;
-        self.note_peak();
         Some(Ppn::new(start))
     }
 
@@ -166,17 +142,9 @@ impl FrameAllocator {
         if *count == 0 {
             self.refcounts.remove(&frame);
             self.free_list.push(frame);
-            self.stats.frees += 1;
             true
         } else {
             false
-        }
-    }
-
-    fn note_peak(&mut self) {
-        let live = self.refcounts.len() as u64;
-        if live > self.stats.peak_live {
-            self.stats.peak_live = live;
         }
     }
 }
@@ -285,10 +253,12 @@ mod tests {
         let mut alloc = FrameAllocator::new(64);
         let a = alloc.alloc().unwrap();
         let _b = alloc.alloc().unwrap();
+        alloc.inc_ref(a);
         alloc.dec_ref(a);
-        let stats = alloc.stats();
-        assert_eq!(stats.allocs, 2);
-        assert_eq!(stats.frees, 1);
-        assert_eq!(stats.peak_live, 2);
+        assert_eq!(alloc.live_frames(), 2, "a shared frame stays live");
+        alloc.dec_ref(a);
+        assert_eq!(alloc.live_frames(), 1);
+        alloc.alloc_contiguous(8, 8).unwrap();
+        assert_eq!(alloc.live_frames(), 9);
     }
 }

@@ -33,6 +33,6 @@ pub mod dram;
 pub mod frame;
 pub mod phys;
 
-pub use dram::{Dram, DramConfig, DramStats};
-pub use frame::{FrameAllocator, FrameAllocatorStats};
+pub use dram::{Dram, DramConfig};
+pub use frame::FrameAllocator;
 pub use phys::PhysMemory;

@@ -34,15 +34,6 @@ impl std::fmt::Display for FileId {
     }
 }
 
-/// Counters exposed by [`PageCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Lookups that found the page resident (minor-fault path).
-    pub hits: u64,
-    /// Lookups that had to read the page "from disk" (major-fault path).
-    pub fills: u64,
-}
-
 /// The kernel page cache: one physical frame per (file, page) pair,
 /// shared by every process that maps the file.
 ///
@@ -70,7 +61,6 @@ pub struct PageCacheStats {
 pub struct PageCache {
     resident: FastMap<(FileId, u64), Ppn>,
     resident_huge: FastMap<(FileId, u64), Ppn>,
-    stats: PageCacheStats,
 }
 
 impl PageCache {
@@ -91,12 +81,10 @@ impl PageCache {
         page_index: u64,
     ) -> Option<(Ppn, bool)> {
         if let Some(&frame) = self.resident.get(&(file, page_index)) {
-            self.stats.hits += 1;
             return Some((frame, true));
         }
         let frame = frames.alloc()?;
         self.resident.insert((file, page_index), frame);
-        self.stats.fills += 1;
         Some((frame, false))
     }
 
@@ -112,12 +100,10 @@ impl PageCache {
         chunk_index: u64,
     ) -> Option<(Ppn, bool)> {
         if let Some(&run) = self.resident_huge.get(&(file, chunk_index)) {
-            self.stats.hits += 1;
             return Some((run, true));
         }
         let run = frames.alloc_contiguous(512, 512)?;
         self.resident_huge.insert((file, chunk_index), run);
-        self.stats.fills += 1;
         Some((run, false))
     }
 
@@ -129,11 +115,6 @@ impl PageCache {
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
         self.resident.len()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> PageCacheStats {
-        self.stats
     }
 }
 
@@ -151,7 +132,7 @@ mod tests {
         let (f1, resident1) = cache.frame_for(&mut frames, file, 3).unwrap();
         assert!(resident1);
         assert_eq!(f0, f1);
-        assert_eq!(cache.stats(), PageCacheStats { hits: 1, fills: 1 });
+        assert_eq!(cache.resident_pages(), 1);
     }
 
     #[test]

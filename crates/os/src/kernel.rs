@@ -2210,7 +2210,7 @@ mod tests {
         assert!(k.space(b).walk(k.store(), va).leaf().is_some());
         k.exit(b);
         assert_eq!(
-            k.store().stats().live_tables,
+            k.store().live_tables(),
             0,
             "group death reclaims everything, including the registry reference"
         );
@@ -2419,10 +2419,10 @@ mod tests {
             )
             .unwrap();
         k.handle_fault(a, va, true).unwrap();
-        let live_before = k.store().stats().live_tables;
+        let live_before = k.store().live_tables();
         k.munmap(a, va).unwrap();
         assert_eq!(
-            k.store().stats().live_tables,
+            k.store().live_tables(),
             live_before - 1,
             "the private PTE table is reclaimed"
         );
@@ -2524,7 +2524,7 @@ mod tests {
         // Group death reclaims the registry reference too.
         k.exit(a);
         k.exit(b);
-        assert_eq!(k.store().stats().live_tables, 0);
+        assert_eq!(k.store().live_tables(), 0);
     }
 
     #[test]

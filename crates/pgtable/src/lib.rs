@@ -55,5 +55,5 @@ pub mod telemetry;
 pub use entry::EntryValue;
 pub use maskpage::{MaskPage, MaskPageFull};
 pub use space::{AddressSpace, MapError, WalkResult, WalkStep};
-pub use store::{TableStore, TableStoreStats};
+pub use store::TableStore;
 pub use telemetry::PgtableTelemetry;

@@ -605,15 +605,11 @@ mod tests {
         space
             .map(&mut store, va1, f1, PageSize::Size4K, user_flags())
             .unwrap();
-        let tables_before = store.stats().live_tables;
+        let tables_before = store.live_tables();
         space
             .map(&mut store, va2, f2, PageSize::Size4K, user_flags())
             .unwrap();
-        assert_eq!(
-            store.stats().live_tables,
-            tables_before,
-            "same PTE table reused"
-        );
+        assert_eq!(store.live_tables(), tables_before, "same PTE table reused");
     }
 
     #[test]
@@ -720,7 +716,7 @@ mod tests {
         assert_eq!(leaf.ppn, run);
         assert_eq!(walk.steps().len(), 2, "walk stops at the PUD leaf");
         space.destroy(&mut store);
-        assert_eq!(store.stats().live_tables, 0);
+        assert_eq!(store.live_tables(), 0);
     }
 
     #[test]
@@ -748,7 +744,7 @@ mod tests {
         b.destroy(&mut store);
         assert!(a.walk(&store, va).leaf().is_some());
         a.destroy(&mut store);
-        assert_eq!(store.stats().live_tables, 0);
+        assert_eq!(store.live_tables(), 0);
     }
 
     #[test]
@@ -836,7 +832,7 @@ mod tests {
         assert_eq!(b.detach_table(&mut store, va, PageTableLevel::Pte), None);
         a.destroy(&mut store);
         b.destroy(&mut store);
-        assert_eq!(store.stats().live_tables, 0);
+        assert_eq!(store.live_tables(), 0);
     }
 
     #[test]
@@ -922,14 +918,14 @@ mod tests {
         b.map_shared_table(&mut store, va, PageTableLevel::Pte, shared)
             .unwrap();
 
-        let live_before = store.stats().live_tables;
+        let live_before = store.live_tables();
         b.destroy(&mut store);
         // B's PGD/PUD/PMD are gone; the shared PTE table survives for A.
-        assert_eq!(store.stats().live_tables, live_before - 3);
+        assert_eq!(store.live_tables(), live_before - 3);
         assert_eq!(store.sharers(shared), 1);
         assert_eq!(a.walk(&store, va).leaf().unwrap().0.ppn, frame);
 
         a.destroy(&mut store);
-        assert_eq!(store.stats().live_tables, 0, "everything torn down");
+        assert_eq!(store.live_tables(), 0, "everything torn down");
     }
 }

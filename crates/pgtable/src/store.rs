@@ -7,19 +7,6 @@ use bf_mem::{FrameAllocator, PhysMemory};
 use bf_telemetry::Registry;
 use bf_types::{FastMap, Ppn};
 
-/// Counters exposed by [`TableStore::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct TableStoreStats {
-    /// Table pages currently allocated.
-    pub live_tables: u64,
-    /// Table pages allocated over the run.
-    pub tables_allocated: u64,
-    /// Table pages freed when their last sharer released them.
-    pub tables_freed: u64,
-    /// High-water mark of live table pages.
-    pub peak_tables: u64,
-}
-
 /// Owns everything the page-table layer needs: the frame pool, the
 /// simulated physical memory holding table contents, and one 16-bit
 /// sharer counter per table page.
@@ -50,7 +37,6 @@ pub struct TableStore {
     /// The physical frame pool.
     pub frames: FrameAllocator,
     sharers: FastMap<Ppn, u16>,
-    stats: TableStoreStats,
     telem: PgtableTelemetry,
 }
 
@@ -61,7 +47,6 @@ impl TableStore {
             mem: PhysMemory::new(),
             frames: FrameAllocator::new(frame_capacity),
             sharers: FastMap::default(),
-            stats: TableStoreStats::default(),
             telem: PgtableTelemetry::default(),
         }
     }
@@ -83,10 +68,7 @@ impl TableStore {
     pub fn alloc_table(&mut self) -> Option<Ppn> {
         let frame = self.frames.alloc()?;
         self.sharers.insert(frame, 1);
-        self.stats.tables_allocated += 1;
         self.telem.tables_allocated.incr();
-        self.stats.live_tables += 1;
-        self.stats.peak_tables = self.stats.peak_tables.max(self.stats.live_tables);
         Some(frame)
     }
 
@@ -123,9 +105,7 @@ impl TableStore {
             self.sharers.remove(&table);
             self.mem.release_page(table);
             self.frames.dec_ref(table);
-            self.stats.tables_freed += 1;
             self.telem.tables_freed.incr();
-            self.stats.live_tables -= 1;
             true
         } else {
             false
@@ -173,9 +153,10 @@ impl TableStore {
         Some(dst)
     }
 
-    /// Table accounting counters.
-    pub fn stats(&self) -> TableStoreStats {
-        self.stats
+    /// Table pages currently allocated. The run's allocation and free
+    /// counts are the `pgtable.tables_{allocated,freed}` counters.
+    pub fn live_tables(&self) -> u64 {
+        self.sharers.len() as u64
     }
 
     /// Bytes of sharer-counter metadata currently held (2 bytes per live
@@ -257,16 +238,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_peak_and_frees() {
+    fn live_tables_and_counters_track_frees() {
+        let registry = Registry::new();
         let mut store = TableStore::new(16);
+        store.attach_telemetry(&registry);
         let a = store.alloc_table().unwrap();
         let _b = store.alloc_table().unwrap();
-        store.release_table(a);
-        let stats = store.stats();
-        assert_eq!(stats.tables_allocated, 2);
-        assert_eq!(stats.tables_freed, 1);
-        assert_eq!(stats.live_tables, 1);
-        assert_eq!(stats.peak_tables, 2);
+        store.share_table(a);
+        assert!(!store.release_table(a));
+        assert_eq!(store.live_tables(), 2, "a shared table stays live");
+        assert!(store.release_table(a));
+        let counters = registry.snapshot();
+        assert_eq!(counters.counter("pgtable.tables_allocated"), 2);
+        assert_eq!(counters.counter("pgtable.tables_freed"), 1);
+        assert_eq!(store.live_tables(), 1);
         assert_eq!(store.counter_bytes(), 2);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! All handles live under the `pgtable.` prefix of the shared
 //! [`Registry`]. The [`TableStore`](crate::TableStore) owns one
-//! [`PgtableTelemetry`] so that [`AddressSpace::walk`]
-//! (crate::AddressSpace::walk), which only sees `&TableStore`, can record
-//! through the shared `&self` handles.
+//! [`PgtableTelemetry`] so that
+//! [`AddressSpace::walk`](crate::AddressSpace::walk), which only sees
+//! `&TableStore`, can record through the shared `&self` handles.
 
 use bf_telemetry::{Counter, Histogram, Registry, SpanTracer};
 

@@ -1062,7 +1062,7 @@ impl Machine {
             self.spans.counter(
                 track,
                 "pgtable.live_tables",
-                self.kernel.store().stats().live_tables,
+                self.kernel.store().live_tables(),
             );
             self.spans.counter(
                 track,

@@ -141,6 +141,6 @@ fn main() {
     }
     println!(
         "after group exit: {} live tables (everything reclaimed)",
-        kernel.store().stats().live_tables
+        kernel.store().live_tables()
     );
 }

@@ -105,7 +105,7 @@ impl_tuple_strategy! {
 }
 
 pub mod collection {
-    //! Collection strategies ([`vec`]).
+    //! Collection strategies ([`vec()`]).
 
     use super::{Strategy, TestRng};
 

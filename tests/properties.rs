@@ -101,7 +101,7 @@ proptest! {
             prop_assert_eq!(walked, reference.get(&slot).copied());
         }
         space.destroy(&mut store);
-        prop_assert_eq!(store.stats().live_tables, 0);
+        prop_assert_eq!(store.live_tables(), 0);
     }
 
     /// MaskPage bit assignment is stable, order-preserving, and bounded
@@ -217,6 +217,6 @@ proptest! {
         for pid in pids {
             kernel.exit(pid);
         }
-        prop_assert_eq!(kernel.store().stats().live_tables, 0);
+        prop_assert_eq!(kernel.store().live_tables(), 0);
     }
 }
