@@ -12,7 +12,7 @@ use babelfish::workloads::ZipfianGenerator;
 use babelfish::{Machine, Mode, SimConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn fill(vpn: u64, pcid: u16, owned: bool, orpc: bool) -> TlbFill {
     TlbFill {
@@ -195,6 +195,11 @@ fn bench_machine_access(c: &mut Criterion) {
 /// walker requests cycling through 1 MB (larger than the L2, so every
 /// one hits the L3) and 32 MB (larger than the L3, so every one goes to
 /// DRAM). The two streaming paths include the fills they trigger.
+///
+/// The streams walk lines in order, so the host prefetcher hides the
+/// set probes. A core load and a walker request at seeded uniform lines
+/// over 64 MB (eight times the L3) touch a random set at every level,
+/// which shows the host cost of the set layout.
 fn bench_cache(c: &mut Criterion) {
     use babelfish::cache::{AccessOrigin, CacheHierarchy, HierarchyConfig};
     let mut group = c.benchmark_group("cache");
@@ -248,6 +253,28 @@ fn bench_cache(c: &mut Criterion) {
                     PhysAddr::new(line * 64),
                     AccessKind::Read,
                     AccessOrigin::PageWalker,
+                    now,
+                )
+            })
+        });
+    }
+    let mut mem = CacheHierarchy::new(HierarchyConfig::table1(1));
+    let lines = (64u64 << 20) / 64;
+    let mut rng = StdRng::seed_from_u64(0x64);
+    let mut now = 0u64;
+    for (name, origin) in [
+        ("core_random_64mb", AccessOrigin::Core),
+        ("walker_random_64mb", AccessOrigin::PageWalker),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                now += 100;
+                let line = rng.gen_range(0..lines);
+                mem.access(
+                    core,
+                    PhysAddr::new(line * 64),
+                    AccessKind::Read,
+                    origin,
                     now,
                 )
             })

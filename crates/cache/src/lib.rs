@@ -5,7 +5,8 @@
 //!
 //! * [`SetAssocCache`] — one cache level: LRU replacement over 64 B
 //!   lines, tracking residency only (no dirty bits: write-back traffic
-//!   costs no cycles in this model).
+//!   costs no cycles in this model). Each set keeps its tags in recency
+//!   order, so LRU needs no timestamps.
 //! * [`CacheHierarchy`] — per-core L1I/L1D/L2 plus a shared L3 in front of
 //!   [`bf_mem::Dram`]. Ordinary loads/stores enter at the L1; hardware
 //!   page-walker requests enter at the L2, as in Fig. 7 ("the page walker

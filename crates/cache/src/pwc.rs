@@ -1,5 +1,6 @@
 //! The per-core page-walk cache (PWC).
 
+use crate::set_assoc::{touch, EMPTY};
 use bf_telemetry::{Counter, Registry};
 use bf_types::{Cycles, PageTableLevel, PhysAddr};
 
@@ -34,13 +35,6 @@ impl Default for PwcConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PwcWay {
-    valid: bool,
-    tag: u64,
-    last_used: u64,
-}
-
 /// A per-core translation cache over the upper page-table levels.
 ///
 /// Entries are keyed by the *physical address of the page-table entry*
@@ -52,6 +46,10 @@ struct PwcWay {
 ///
 /// Leaf PTE entries are never cached here (the PWC "stores a few
 /// recently-accessed entries of the first three tables", Section II-B).
+///
+/// Replacement is LRU, kept as in [`SetAssocCache`](crate::SetAssocCache):
+/// each set holds its keys most recently used first, a hit moves its key
+/// to the front and a fill evicts the last slot.
 ///
 /// # Examples
 ///
@@ -68,12 +66,12 @@ struct PwcWay {
 #[derive(Debug)]
 pub struct PageWalkCache {
     config: PwcConfig,
-    /// Every way of PGD, PUD, then PMD, each level set-major: way `w` of
-    /// set `s` at depth `d` is `ways[(d * sets + s) * config.ways + w]`.
-    ways: Vec<PwcWay>,
+    /// Every way's key for PGD, PUD, then PMD, each level set-major and
+    /// most recent first within a set: way `w` of set `s` at depth `d`
+    /// is `keys[(d * sets + s) * config.ways + w]`.
+    keys: Vec<u64>,
     /// `sets - 1`: a key's set index is `key & set_mask`.
     set_mask: u64,
-    clock: u64,
     telem_hits: Counter,
     telem_misses: Counter,
     spans: bf_telemetry::SpanTracer,
@@ -102,9 +100,8 @@ impl PageWalkCache {
         );
         PageWalkCache {
             config,
-            ways: vec![PwcWay::default(); 3 * config.entries_per_level],
+            keys: vec![EMPTY; 3 * config.entries_per_level],
             set_mask: sets as u64 - 1,
-            clock: 0,
             telem_hits: Counter::new(),
             telem_misses: Counter::new(),
             spans: bf_telemetry::SpanTracer::new(),
@@ -133,17 +130,8 @@ impl PageWalkCache {
     /// Panics if `level` is [`PageTableLevel::Pte`] — leaf entries are not
     /// cached in a PWC.
     pub fn probe(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
         let key = entry_addr.raw() / 8;
-        let hit = self.set_mut(level, key).iter_mut().any(|way| {
-            if way.valid && way.tag == key {
-                way.last_used = clock;
-                true
-            } else {
-                false
-            }
-        });
+        let hit = touch(self.set_mut(level, key), key);
         let depth = level.depth() as u64;
         if hit {
             self.telem_hits.incr();
@@ -161,29 +149,19 @@ impl PageWalkCache {
     ///
     /// Panics if `level` is [`PageTableLevel::Pte`].
     pub fn fill(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
-        self.clock += 1;
-        let clock = self.clock;
         let key = entry_addr.raw() / 8;
         let set = self.set_mut(level, key);
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == key) {
-            way.last_used = clock;
-            return;
+        // Already present: refresh. Otherwise the last slot holds the
+        // LRU entry, or an empty way if any (entry addresses / 8 never
+        // reach the empty key).
+        if !touch(set, key) {
+            set.rotate_right(1);
+            set[0] = key;
         }
-        // LRU victim: the first invalid way, else the first way with the
-        // smallest stamp (valid stamps are at least 1).
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-            .expect("PWC set has at least one way");
-        *victim = PwcWay {
-            valid: true,
-            tag: key,
-            last_used: clock,
-        };
     }
 
-    /// The ways of `key`'s set at `level`.
-    fn set_mut(&mut self, level: PageTableLevel, key: u64) -> &mut [PwcWay] {
+    /// The ways of `key`'s set at `level`, most recent first.
+    fn set_mut(&mut self, level: PageTableLevel, key: u64) -> &mut [u64] {
         assert!(
             level != PageTableLevel::Pte,
             "PTE entries are not cached in the PWC"
@@ -191,7 +169,7 @@ impl PageWalkCache {
         let ways = self.config.ways;
         let sets = self.set_mask as usize + 1;
         let set = level.depth() * sets + (key & self.set_mask) as usize;
-        &mut self.ways[set * ways..(set + 1) * ways]
+        &mut self.keys[set * ways..(set + 1) * ways]
     }
 }
 
@@ -265,9 +243,18 @@ mod tests {
         });
     }
 
-    /// The per-level nested-`Vec` PWC the flat arena replaced, indexed
-    /// with `%`: the reference the arena must match operation for
-    /// operation.
+    /// One way of the stamp LRU: the victim is the first invalid way,
+    /// else the first way with the smallest stamp.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct PwcWay {
+        valid: bool,
+        tag: u64,
+        last_used: u64,
+    }
+
+    /// A per-level nested-`Vec` PWC with timestamped LRU ways, indexed
+    /// with `%`: the reference the move-to-front arena must match
+    /// operation for operation.
     struct Oracle {
         levels: [Vec<Vec<PwcWay>>; 3],
         clock: u64,
@@ -336,21 +323,21 @@ mod tests {
     fn resident(pwc: &PageWalkCache) -> Vec<(usize, u64)> {
         let per_level = pwc.config.entries_per_level;
         let mut out: Vec<(usize, u64)> = pwc
-            .ways
+            .keys
             .iter()
             .enumerate()
-            .filter(|(_, w)| w.valid)
-            .map(|(i, w)| (i / per_level, w.tag))
+            .filter(|&(_, &key)| key != EMPTY)
+            .map(|(i, &key)| (i / per_level, key))
             .collect();
         out.sort_unstable();
         out
     }
 
     proptest::proptest! {
-        /// The flat arena gives the nested-`Vec` PWC's hits and resident
-        /// entries under any mix of probes and fills on the three cached
-        /// levels. An op is (probe?, level, set, tag); keys crowd four
-        /// sets so fills evict.
+        /// The move-to-front arena gives the stamp LRU PWC's hits and
+        /// resident entries under any mix of probes and fills on the
+        /// three cached levels. An op is (probe?, level, set, tag); keys
+        /// crowd four sets so fills evict.
         #[test]
         fn flat_arena_matches_nested_pwc(
             geometry in 0u8..3,

@@ -76,17 +76,32 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    last_used: u64,
+/// Tag of an empty way. Real tags are `line >> set_shift` of a
+/// physical line number, which never reaches it.
+pub(crate) const EMPTY: u64 = u64::MAX;
+
+/// Moves `tag` to the front of `set`, a recency-ordered run of ways,
+/// if it is there. Returns whether it was.
+pub(crate) fn touch(set: &mut [u64], tag: u64) -> bool {
+    match set.iter().position(|&t| t == tag) {
+        Some(way) => {
+            set[..=way].rotate_right(1);
+            true
+        }
+        None => false,
+    }
 }
 
 /// One physically-tagged, set-associative cache with LRU replacement.
 ///
 /// It tracks residency only: no level charges cycles for write-back
 /// traffic, so lines carry no dirty bit.
+///
+/// Each set keeps its tags in recency order, most recently used first.
+/// A hit moves its tag to the front and a fill evicts the last slot, so
+/// the order is exactly the LRU order of timestamps: no way needs a
+/// stamp and a probe scans one `u64` per way. Empty ways always sit at
+/// the tail, so a fill takes one while the set has any.
 ///
 /// The cache operates on *line numbers* (`PhysAddr::cache_line()`), not raw
 /// addresses, so callers decide the line granularity once.
@@ -104,14 +119,13 @@ struct Way {
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// Every way of every set, set-major: set `s` is
-    /// `ways[s * config.ways..(s + 1) * config.ways]`.
-    ways: Vec<Way>,
+    /// Every way's tag, set-major and most recent first within a set:
+    /// set `s` is `tags[s * config.ways..(s + 1) * config.ways]`.
+    tags: Vec<u64>,
     /// `sets - 1`: a line's set index is `line & set_mask`.
     set_mask: u64,
     /// `log2(sets)`: a line's tag is `line >> set_shift`.
     set_shift: u32,
-    clock: u64,
 }
 
 impl SetAssocCache {
@@ -132,10 +146,9 @@ impl SetAssocCache {
         );
         SetAssocCache {
             config,
-            ways: vec![Way::default(); sets * config.ways],
+            tags: vec![EMPTY; sets * config.ways],
             set_mask: sets as u64 - 1,
             set_shift: sets.trailing_zeros(),
-            clock: 0,
         }
     }
 
@@ -144,65 +157,48 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Looks up `line`; on a hit, refreshes LRU state. Returns whether
-    /// the line was present.
+    /// Looks up `line`; on a hit, makes it the most recently used line
+    /// of its set. Returns whether the line was present.
     pub fn probe_and_touch(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let tag = line >> self.set_shift;
-        for way in self.set_mut(line) {
-            if way.valid && way.tag == tag {
-                way.last_used = clock;
-                return true;
-            }
-        }
-        false
+        let tag = self.tag(line);
+        touch(self.set_mut(line), tag)
     }
 
-    /// Inserts `line` (evicting the LRU way if the set is full) and
-    /// returns the evicted line number if a valid line was displaced.
+    /// Inserts `line` as the most recently used line of its set,
+    /// evicting the least recent if the set is full, and returns the
+    /// evicted line number if a valid line was displaced.
     pub fn fill(&mut self, line: u64) -> Option<u64> {
-        self.clock += 1;
-        let clock = self.clock;
-        let tag = line >> self.set_shift;
+        let tag = self.tag(line);
         let set_bits = line & self.set_mask;
         let set_shift = self.set_shift;
         let set = self.set_mut(line);
 
         // Already present (e.g. racing fills): refresh.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = clock;
+        if touch(set, tag) {
             return None;
         }
 
-        // LRU victim: the first invalid way, else the first way with the
-        // smallest stamp (valid stamps are at least 1).
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-            .expect("cache set has at least one way");
-        let evicted = *victim;
-        *victim = Way {
-            valid: true,
-            tag,
-            last_used: clock,
-        };
-        if evicted.valid {
-            Some((evicted.tag << set_shift) | set_bits)
-        } else {
-            None
-        }
+        // The last slot holds the LRU line, or an empty way if any.
+        set.rotate_right(1);
+        let evicted = std::mem::replace(&mut set[0], tag);
+        (evicted != EMPTY).then_some((evicted << set_shift) | set_bits)
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
-    fn set_mut(&mut self, line: u64) -> &mut [Way] {
+    fn tag(&self, line: u64) -> u64 {
+        let tag = line >> self.set_shift;
+        debug_assert_ne!(tag, EMPTY, "line {line:#x} has the empty tag");
+        tag
+    }
+
+    fn set_mut(&mut self, line: u64) -> &mut [u64] {
         let ways = self.config.ways;
         let base = (line & self.set_mask) as usize * ways;
-        &mut self.ways[base..base + ways]
+        &mut self.tags[base..base + ways]
     }
 }
 
@@ -290,9 +286,18 @@ mod tests {
         });
     }
 
-    /// The nested-`Vec` LRU cache the flat arena replaced, indexed with
-    /// `%` and `/`: the reference the arena must match operation for
-    /// operation.
+    /// One way of the stamp LRU: the victim is the first invalid way,
+    /// else the first way with the smallest stamp.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Way {
+        valid: bool,
+        tag: u64,
+        last_used: u64,
+    }
+
+    /// A nested-`Vec` cache with timestamped LRU ways, indexed with `%`
+    /// and `/`: the reference the move-to-front arena must match
+    /// operation for operation.
     struct Oracle {
         sets: Vec<Vec<Way>>,
         clock: u64,
@@ -392,7 +397,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The flat arena gives the nested-`Vec` LRU's hits, evicted
+        /// The move-to-front arena gives the stamp LRU's hits, evicted
         /// lines and residency on the tiny and Table I geometries.
         #[test]
         fn flat_arena_matches_nested_lru(

@@ -5,7 +5,7 @@ use crate::aslr::{AslrMode, LayoutRandomizer};
 use crate::file::{FileId, PageCache};
 use crate::process::Process;
 use crate::vma::{Backing, MmapRequest, Vma};
-use bf_pgtable::{AddressSpace, EntryValue, MaskPage, TableStore};
+use bf_pgtable::{AddressSpace, EntryValue, MaskPage, TableStore, WalkStep};
 use bf_telemetry::{Counter, Histogram, Registry};
 use bf_types::{
     Ccid, Cycles, FastMap, FastSet, PageFlags, PageSize, PageTableLevel, Pcid, Pid, Ppn, VirtAddr,
@@ -730,18 +730,20 @@ impl Kernel {
         Ok(vec![Invalidation::Process { pcid }])
     }
 
-    /// Sets the ACCESSED flag on the leaf translating `va` (called by the
-    /// simulator on L2 TLB fills; drives the "Active" bars of Fig. 9).
-    pub fn mark_accessed(&mut self, pid: Pid, va: VirtAddr) {
-        let Some(proc) = self.processes.get_mut(&pid) else {
-            return;
-        };
-        let walk = proc.space.walk(&self.store, va);
-        if let Some((mut leaf, size)) = walk.leaf() {
-            if !leaf.flags.contains(PageFlags::ACCESSED) {
-                leaf.flags |= PageFlags::ACCESSED;
-                proc.space.write_leaf(&mut self.store, va, size, leaf);
-            }
+    /// Sets the ACCESSED flag on `leaf`, the present leaf step of a walk,
+    /// as the x86 page walker does when it reads the leaf. The simulator
+    /// calls it on every TLB fill; the bit drives the "Active" bars of
+    /// Fig. 9.
+    ///
+    /// The step names the entry's table and index, so this is one entry
+    /// write and no walk. `leaf` must be current: no page-table write may
+    /// come between the walk that produced it and this call.
+    pub fn mark_leaf_accessed(&mut self, leaf: &WalkStep) {
+        debug_assert!(leaf.value.is_present(), "A is set on present leaves");
+        if !leaf.value.flags.contains(PageFlags::ACCESSED) {
+            let mut value = leaf.value;
+            value.flags |= PageFlags::ACCESSED;
+            self.store.write(leaf.table, leaf.index, value);
         }
     }
 
@@ -2468,7 +2470,8 @@ mod tests {
             .0
             .flags
             .contains(PageFlags::ACCESSED));
-        k.mark_accessed(a, va);
+        let walk = k.space(a).walk(k.store(), va);
+        k.mark_leaf_accessed(walk.steps().last().unwrap());
         assert!(k
             .space(a)
             .walk(k.store(), va)

@@ -142,6 +142,13 @@ mod tests {
     use crate::aslr::Segment;
     use crate::kernel::KernelConfig;
     use crate::vma::MmapRequest;
+    use bf_types::{Pid, VirtAddr};
+
+    /// Sets A on the leaf translating `va`, as a TLB fill would.
+    fn touch(kernel: &mut Kernel, pid: Pid, va: VirtAddr) {
+        let walk = kernel.space(pid).walk(kernel.store(), va);
+        kernel.mark_leaf_accessed(walk.steps().last().unwrap());
+    }
 
     fn build_group(share: bool) -> (Kernel, Ccid) {
         let mut config = if share {
@@ -166,8 +173,8 @@ mod tests {
             kernel
                 .handle_fault(b, va.offset(i * 0x1000), false)
                 .unwrap();
-            kernel.mark_accessed(a, va.offset(i * 0x1000));
-            kernel.mark_accessed(b, va.offset(i * 0x1000));
+            touch(&mut kernel, a, va.offset(i * 0x1000));
+            touch(&mut kernel, b, va.offset(i * 0x1000));
         }
         // Each also touches 4 private anonymous pages.
         for pid in [a, b] {
@@ -186,7 +193,7 @@ mod tests {
                 kernel
                     .handle_fault(pid, heap.offset(i * 0x1000), true)
                     .unwrap();
-                kernel.mark_accessed(pid, heap.offset(i * 0x1000));
+                touch(&mut kernel, pid, heap.offset(i * 0x1000));
             }
         }
         (kernel, group)

@@ -995,7 +995,10 @@ impl Machine {
                             .unwrap_or(PageFlags::empty());
                         let fill = self.fill_from_walk(pid, va, entry, size, pmd_flags, access);
                         self.cores[core_index].tlbs.fill(kind, fill);
-                        self.kernel.mark_accessed(pid, va);
+                        // The walker sets A on the leaf it just read;
+                        // nothing has written the tables since.
+                        let leaf_step = walk.steps().last().expect("a leaf ends the walk");
+                        self.kernel.mark_leaf_accessed(leaf_step);
                         translated = Some((entry.ppn, size));
                         break;
                     }
@@ -1647,6 +1650,43 @@ mod tests {
             0,
             "prefaulted state must not fault"
         );
+    }
+
+    #[test]
+    fn tlb_fill_sets_accessed_without_a_second_walk() {
+        let mut m = machine(Mode::Baseline);
+        let (pid, va) = process_with_file(&mut m, 8);
+        m.prefault(pid);
+        let accessed = |m: &Machine, page: u64| {
+            let walk = m
+                .kernel()
+                .space(pid)
+                .walk(m.kernel().store(), va.offset(page * 4096));
+            walk.leaf().unwrap().0.flags.contains(PageFlags::ACCESSED)
+        };
+        assert!(
+            (0..8).all(|page| !accessed(&m, page)),
+            "faults leave A clear"
+        );
+        m.reset_measurement();
+        for page in 0..8u64 {
+            for _ in 0..2 {
+                m.execute_access(0, pid, va.offset(page * 4096), AccessKind::Read);
+            }
+        }
+        let window = m.telemetry_snapshot();
+        let stats = m.stats();
+        assert_eq!(
+            stats.minor_faults + stats.major_faults + stats.cow_faults,
+            0
+        );
+        assert_eq!(window.counter("sim.walks"), 8, "one walk per first touch");
+        assert_eq!(
+            window.counter("pgtable.walks"),
+            window.counter("sim.walks"),
+            "one software walk per hardware walk"
+        );
+        assert!((0..8).all(|page| accessed(&m, page)), "each fill set A");
     }
 
     #[test]
