@@ -14,7 +14,9 @@ root=$(pwd)
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 status=0
-for table in results/*.txt; do
+# Only the committed tables: a run or a CI job may leave other text
+# files under results/ (bf_top --once output, timeline summaries).
+for table in $(git ls-files 'results/*.txt'); do
   bin=$(basename "$table" .txt)
   start=$(date +%s%N)
   (cd "$scratch" && BF_THREADS=2 "$root/target/release/$bin") \

@@ -1,5 +1,5 @@
 //! Thin CLI wrapper over [`bf_bench::report`]: diff two results JSON
-//! documents or gate a run against a committed baseline.
+//! documents and validate timeline, trace and profile exports.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -1,23 +1,23 @@
-//! The `--capture=FILE` / `--replay=FILE` preflight shared by the sweep
-//! binaries.
+//! The `--capture=FILE` preflight shared by the sweep binaries.
 //!
-//! When either flag is present the binary does not run its figure sweep:
-//! it records (or replays) one *canonical capture cell* under the
-//! binary's configuration, writes a standard results document, and
-//! exits. The cell defaults to mongodb x babelfish — the paper's
-//! flagship serving pair — and can be redirected with `BF_CAPTURE_APP` /
+//! When the flag is present the binary does not run its figure sweep:
+//! it records one *canonical capture cell* under the binary's
+//! configuration, writes a standard results document, and exits. The
+//! cell defaults to mongodb x babelfish — the paper's flagship serving
+//! pair — and can be redirected with `BF_CAPTURE_APP` /
 //! `BF_CAPTURE_MODE`; `BF_CAPTURE_CONTAINERS` / `BF_CAPTURE_QUANTUM`
 //! override the density knobs (how the committed serving-churn trace was
 //! produced).
 //!
-//! The capture run writes `results/capture-<app>-<mode>-latest.json` and
-//! a replay of the same trace writes `results/replay-<app>-<mode>-latest.json`;
-//! the two documents are **byte-identical** when the runs used the same
+//! The capture run writes `results/capture-<app>-<mode>-latest.json`,
+//! and `bf_replay` of the same trace writes
+//! `results/replay-<app>-<mode>-latest.json` through [`window_doc`]; the
+//! two documents are **byte-identical** when the runs used the same
 //! instrumentation flags — the determinism contract CI's `cmp` leans on.
 
 use crate::BenchArgs;
 use babelfish::experiment::{CaptureApp, ExperimentConfig, WindowResult};
-use babelfish::replay::{self, ReplayOptions};
+use babelfish::replay;
 use babelfish::Mode;
 use serde::{Serialize, Value};
 
@@ -36,38 +36,27 @@ pub fn window_doc(mode: Mode, app: &str, cfg: &ExperimentConfig, window: &Window
         ("mode", Value::String(mode.name().to_owned())),
         ("app", Value::String(app.to_owned())),
         ("config", cfg.to_value()),
-        // The headline derived metrics, pre-computed so regression
-        // gates can name them directly (`l2_data_mpki=~0%`).
+        // The headline derived metrics, pre-computed so a reader (or
+        // `bf_report diff`) finds them at the top level.
         ("l2_data_mpki", Value::F64(window.stats.l2_data_mpki())),
         ("l2_instr_mpki", Value::F64(window.stats.l2_instr_mpki())),
         ("window", window.to_value()),
     ])
 }
 
-/// Runs the `--capture` / `--replay` preflight if either flag was given,
-/// then exits the process (0 on success, 2 on error). A no-op when
-/// neither flag is present. Every sweep binary calls this straight after
-/// [`crate::parse_args`].
+/// Runs the `--capture` preflight if the flag was given, then exits the
+/// process (0 on success, 2 on error). A no-op when the flag is absent.
+/// Every sweep binary calls this straight after [`crate::parse_args`].
 pub fn preflight(args: &BenchArgs) {
-    if args.capture.is_none() && args.replay.is_none() {
+    let Some(path) = &args.capture else {
         return;
-    }
-    match run_preflight(args) {
+    };
+    match run_capture(path, &args.cfg) {
         Ok(()) => std::process::exit(0),
         Err(message) => {
             eprintln!("error: {message}");
             std::process::exit(2);
         }
-    }
-}
-
-fn run_preflight(args: &BenchArgs) -> Result<(), String> {
-    if let Some(path) = &args.capture {
-        run_capture(path, &args.cfg)
-    } else if let Some(path) = &args.replay {
-        run_replay(path, &args.cfg)
-    } else {
-        Ok(())
     }
 }
 
@@ -110,38 +99,6 @@ fn run_capture(path: &str, cfg: &ExperimentConfig) -> Result<(), String> {
     crate::emit_timeline_results(&stem, &cfg, &cells);
     let profile_cells = [(cell_name, window.profile.clone())];
     crate::emit_profile_results(&stem, &cfg, &profile_cells);
-    Ok(())
-}
-
-fn run_replay(path: &str, cfg: &ExperimentConfig) -> Result<(), String> {
-    // The binary's instrumentation flags carry over to the replay; they
-    // must match the capturing run's for byte-identical output.
-    let options = ReplayOptions {
-        mode: None,
-        trace_sample_every: cfg.trace_sample_every,
-        timeline_every: cfg.timeline_every,
-        timeline_fail_fast: cfg.timeline_fail_fast,
-        profile_top_k: cfg.profile_top_k,
-        recapture: None,
-        salvage: false,
-        heartbeat_every: cfg.heartbeat_every,
-    };
-    let outcome =
-        replay::replay_file(path, options).map_err(|e| format!("replaying {path}: {e}"))?;
-    let mode_name = outcome.mode.name();
-    println!(
-        "replayed {path}: {} x {mode_name}, {} records, {} instructions",
-        outcome.app, outcome.records_replayed, outcome.result.stats.instructions
-    );
-
-    let stem = format!("replay-{}-{mode_name}", outcome.app);
-    let doc = window_doc(outcome.mode, outcome.app, &outcome.config, &outcome.result);
-    crate::emit_results(&stem, &doc);
-    let cell_name = format!("{}-{mode_name}", outcome.app);
-    let cells = [(cell_name.clone(), outcome.result.timeline.clone())];
-    crate::emit_timeline_results(&stem, &outcome.config, &cells);
-    let profile_cells = [(cell_name, outcome.result.profile.clone())];
-    crate::emit_profile_results(&stem, &outcome.config, &profile_cells);
     Ok(())
 }
 

@@ -64,9 +64,6 @@ pub struct BenchArgs {
     /// Record the canonical capture cell to this `.bft` trace and exit
     /// instead of running the figure sweep (`--capture=FILE`).
     pub capture: Option<String>,
-    /// Replay a `.bft` trace and exit instead of running the figure
-    /// sweep (`--replay=FILE`).
-    pub replay: Option<String>,
     /// Graceful sweep degradation (`--keep-going`): a panicking sweep
     /// cell becomes a structured failure slot instead of aborting the
     /// whole run; the process still exits non-zero.
@@ -122,9 +119,6 @@ const USAGE: &str = "options:
                       BF_CAPTURE_APP/BF_CAPTURE_MODE) under this binary's
                       configuration into FILE as a .bft trace, write the
                       capture-<app>-<mode> results document, and exit
-  --replay=FILE       replay a .bft trace (machine rebuilt from the trace
-                      header), write the replay-<app>-<mode> results document,
-                      and exit; see also the dedicated bf_replay binary
   --faults=SPEC       arm the deterministic fault-injection plan: ';'-separated
                       clauses like tlb-bitflip@p=1e-5, walk-stall@p=1e-4,cycles=2000,
                       alloc-fail@p=1e-6, trace-corrupt@block=3, cell-panic@idx=2,
@@ -162,7 +156,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut fail_fast: Option<bool> = None;
     let mut threads: Option<usize> = None;
     let mut capture: Option<String> = None;
-    let mut replay: Option<String> = None;
     let mut faults: Option<babelfish::FaultPlan> = None;
     let mut faults_spec: Option<String> = None;
     let mut heartbeat: Option<String> = None;
@@ -221,8 +214,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
                     );
                 } else if let Some(path) = arg.strip_prefix("--capture=") {
                     capture = Some(path.to_owned());
-                } else if let Some(path) = arg.strip_prefix("--replay=") {
-                    replay = Some(path.to_owned());
                 } else if let Some(spec) = arg.strip_prefix("--faults=") {
                     faults = Some(babelfish::FaultPlan::parse(spec)?);
                     faults_spec = Some(spec.to_owned());
@@ -231,8 +222,8 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
                         return Err("--heartbeat= needs a file after '='".to_owned());
                     }
                     heartbeat = Some(path.to_owned());
-                } else if arg == "--capture" || arg == "--replay" {
-                    return Err(format!("{arg} requires a file: {arg}=FILE"));
+                } else if arg == "--capture" {
+                    return Err("--capture requires a file: --capture=FILE".to_owned());
                 } else if arg == "--faults" {
                     return Err("--faults requires a spec: --faults=SPEC".to_owned());
                 } else {
@@ -260,9 +251,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     });
     cfg.timeline_fail_fast = fail_fast.unwrap_or(false);
     cfg.profile_top_k = profile.unwrap_or_else(|| env_u64("BF_PROFILE").unwrap_or(0));
-    if capture.is_some() && replay.is_some() {
-        return Err("--capture and --replay are mutually exclusive".to_owned());
-    }
     cfg.faults = match faults {
         Some(plan) => Some(plan),
         None => {
@@ -286,7 +274,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
         threads: babelfish::exec::thread_count(threads),
         quiet,
         capture,
-        replay,
         keep_going,
         heartbeat,
         faults_spec,
@@ -398,9 +385,8 @@ fn stable_manifest(config: Option<&Value>, faults_spec: Option<&str>) -> Value {
 
 /// The wall-clock half of a run manifest. Only attached while the
 /// heartbeat is armed, and always under the single `volatile` key that
-/// `bf_report` diff/check/gates skip wholesale — so unarmed runs (and
-/// therefore the committed baselines) never contain host-dependent
-/// bytes.
+/// `bf_report diff` skips wholesale — so unarmed runs (and therefore
+/// the committed baselines) never contain host-dependent bytes.
 fn volatile_manifest(threads: usize) -> Value {
     let started_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -473,9 +459,9 @@ pub fn stamp_manifest(doc: &Value) -> Value {
 
 /// Writes `doc` under `results/` twice: a timestamped archival copy and
 /// a stable `<stem>-latest.json` overwritten on every run, which tooling
-/// (and the CI regression gate) can point at. Stamps the run manifest
-/// (see [`stamp_manifest`]) into both copies and reports the write on
-/// the heartbeat stream. Returns `(timestamped, latest)`.
+/// (and CI's byte-exact baseline comparisons) can point at. Stamps the
+/// run manifest (see [`stamp_manifest`]) into both copies and reports
+/// the write on the heartbeat stream. Returns `(timestamped, latest)`.
 pub fn write_results(stem: &str, doc: &Value) -> std::io::Result<(PathBuf, PathBuf)> {
     let doc = stamp_manifest(doc);
     let stamped = bf_telemetry::results_path("results", stem, "json");
@@ -555,8 +541,8 @@ pub fn progress(quiet: bool, message: &str) {
 /// cell, in submission order, each carrying the cell's
 /// [`TimelineSnapshot`] (or `null` for cells that ran without one).
 /// Each phase additionally gets a derived `l2_mpki` (L2 TLB misses per
-/// kilo-instruction over that phase), the metric the CI phase gates
-/// bite on.
+/// kilo-instruction over that phase), which `bf_report timeline` prints
+/// in its phase table.
 pub fn timeline_doc(
     stem: &str,
     cfg: &ExperimentConfig,
@@ -636,8 +622,8 @@ pub fn write_timeline_results(
 /// cell, in submission order, each carrying the cell's
 /// [`ProfileSnapshot`] (or `null` for cells that ran without one). The
 /// snapshot serialization includes derived scalars (`miss_top_share`,
-/// `sets.skew`, `sets.top_decile_share`) that `bf_report check` gates
-/// can match by suffix.
+/// `sets.skew`, `sets.top_decile_share`) that `bf_report profile`
+/// prints.
 pub fn profile_doc(
     stem: &str,
     cfg: &ExperimentConfig,
@@ -795,15 +781,12 @@ mod tests {
     fn capture_and_replay_flags_parse_but_exclude_each_other() {
         let args = parse_ok(&["--quick", "--capture=t.bft"]);
         assert_eq!(args.capture.as_deref(), Some("t.bft"));
-        assert_eq!(args.replay, None);
+        assert_eq!(parse_ok(&["--quick"]).capture, None);
 
-        let args = parse_ok(&["--replay=ci/traces/fig10-quick.bft"]);
-        assert_eq!(args.replay.as_deref(), Some("ci/traces/fig10-quick.bft"));
-        assert_eq!(args.capture, None);
-
+        // Replay belongs to bf_replay alone: the figure binaries reject
+        // the flag, with or without --capture beside it.
         assert!(
-            parse(["--capture=a.bft".to_string(), "--replay=b.bft".to_string()].into_iter())
-                .is_err()
+            parse(["--capture=a.bft".to_string(), "--replay".to_string()].into_iter()).is_err()
         );
     }
 

@@ -1,5 +1,5 @@
-//! `bf-report`: diff two results/telemetry JSON documents and gate on
-//! regressions.
+//! `bf-report`: explain how two results documents differ, and validate
+//! the single-file exports.
 //!
 //! The figure binaries write nested JSON documents (stats, telemetry
 //! snapshots, derived figures). This module flattens such a document
@@ -7,35 +7,22 @@
 //! `.p50`/`.p90`/`.p99` — so two runs can be compared metric by metric:
 //!
 //! ```text
-//! bf-report diff  results/fig10_tlb-latest.json results/fig10_tlb-old.json
-//! bf-report check ci/baseline/fig10_tlb-quick.json results/fig10_tlb-latest.json \
-//!     --gate 'mongodb.d_mpki_reduction_pct=-25%'
+//! bf-report diff ci/baseline/fig10_tlb-quick.json results/fig10_tlb-latest.json
 //! ```
 //!
-//! `check` exits non-zero when any gated metric moves past its
-//! threshold: `name=+P%` fails when the metric *rises* more than P %
-//! above the baseline (for metrics where up is bad, e.g. MPKI);
-//! `name=-P%` fails when it *falls* more than P % below (for metrics
-//! where down is bad, e.g. a reduction percentage); `name=~P%` fails on
-//! movement in *either* direction (for metrics that must be identical,
-//! e.g. a parallel run gated against its serial twin).
-//!
-//! A gate may name a timeline phase — `l2_mpki@last=+10%` — which
-//! restricts it to metrics inside that phase's summary of a
-//! `<figure>-timeline` export, gating the steady-state (`last`) third
-//! without tripping over warm-up noise in `first`.
+//! The simulator is deterministic, so CI compares every output with its
+//! committed baseline byte for byte (`cmp`, `diff`, `sha256sum -c`);
+//! `diff` is how a person reads a mismatch, not a gate.
 //!
 //! `timeline` renders a `<figure>-timeline-latest.json` export written
 //! by the figure binaries under `--timeline`: per-cell ASCII sparklines
-//! of each metric's per-epoch rate, the first/mid/last phase summary,
-//! and (with a second file) the per-phase diff. It also validates the
-//! export — epoch deltas must sum to the whole-window total and the
-//! recorded invariant-violation list must be empty — and exits 1
-//! otherwise:
+//! of each metric's per-epoch rate and the first/mid/last phase
+//! summary. It also validates the export — epoch deltas must sum to the
+//! whole-window total and the recorded invariant-violation list must be
+//! empty — and exits 1 otherwise:
 //!
 //! ```text
 //! bf-report timeline results/fig10_tlb-timeline-latest.json
-//! bf-report timeline results/fig10_tlb-timeline-latest.json old-timeline.json
 //! ```
 
 use serde::Value;
@@ -65,8 +52,8 @@ fn walk(value: &Value, path: String, out: &mut BTreeMap<String, f64>) {
             }
             for (key, child) in map {
                 // The top-level run manifest is identity + volatile
-                // wall-clock fields, not metrics: diff/check/gates must
-                // never trip on it (`history` reads it directly).
+                // wall-clock fields, not metrics: diff must never
+                // show it (`history` reads it directly).
                 if path.is_empty() && key == "manifest" {
                     continue;
                 }
@@ -264,164 +251,6 @@ enum Side {
     Current,
 }
 
-/// Which direction of movement a [`Gate`] treats as a regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateDirection {
-    /// `name=+P%`: fail when the metric rises more than P % (up is bad).
-    RiseIsBad,
-    /// `name=-P%`: fail when the metric falls more than P % (down is bad).
-    FallIsBad,
-    /// `name=~P%`: fail when the metric moves more than P % in *either*
-    /// direction (any drift is bad — e.g. metrics that must be identical
-    /// between a serial and a parallel run).
-    AnyIsBad,
-}
-
-/// A regression threshold on one metric, parsed from `name=+10%` /
-/// `name=-20%`. `name` matches a flattened path exactly or as a
-/// `.`-separated suffix (`d_mpki_reduction_pct` matches every row's
-/// reduction metric). A `name@phase` form restricts the gate to one
-/// timeline phase: `l2_mpki@last=+10%` gates the steady-state third of
-/// every cell's timeline and ignores the warm-up-heavy `first` third.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
-    /// Metric name (exact dotted path or suffix).
-    pub name: String,
-    /// Timeline phase restriction (`first`, `mid` or `last`): the gate
-    /// only matches paths inside that phase's summary.
-    pub phase: Option<String>,
-    /// Regression direction.
-    pub direction: GateDirection,
-    /// Allowed movement in percent before the gate fails.
-    pub tolerance_pct: f64,
-}
-
-impl Gate {
-    /// Parses a `name=+P%` / `name=-P%` / `name@phase=±P%` specification.
-    pub fn parse(spec: &str) -> Result<Gate, String> {
-        let (name, bound) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("gate '{spec}': expected name=+P% or name=-P%"))?;
-        let (name, phase) = match name.split_once('@') {
-            Some((metric, phase)) => {
-                if !["first", "mid", "last"].contains(&phase) {
-                    return Err(format!(
-                        "gate '{spec}': phase must be 'first', 'mid' or 'last', got '{phase}'"
-                    ));
-                }
-                (metric, Some(phase.to_owned()))
-            }
-            None => (name, None),
-        };
-        let bound = bound.strip_suffix('%').unwrap_or(bound);
-        let (direction, digits) = match bound.as_bytes().first() {
-            Some(b'+') => (GateDirection::RiseIsBad, &bound[1..]),
-            Some(b'-') => (GateDirection::FallIsBad, &bound[1..]),
-            Some(b'~') => (GateDirection::AnyIsBad, &bound[1..]),
-            _ => {
-                return Err(format!(
-                    "gate '{spec}': threshold must start with + (rise is bad), \
-                     - (fall is bad) or ~ (any drift is bad)"
-                ))
-            }
-        };
-        let tolerance_pct: f64 = digits
-            .parse()
-            .map_err(|_| format!("gate '{spec}': bad threshold '{digits}'"))?;
-        if name.is_empty() || tolerance_pct < 0.0 {
-            return Err(format!("gate '{spec}': empty name or negative threshold"));
-        }
-        Ok(Gate {
-            name: name.to_owned(),
-            phase,
-            direction,
-            tolerance_pct,
-        })
-    }
-
-    fn matches(&self, path: &str) -> bool {
-        let name_ok = path == self.name || path.ends_with(&format!(".{}", self.name));
-        let phase_ok = self
-            .phase
-            .as_ref()
-            .is_none_or(|p| path.contains(&format!("phases.{p}.")));
-        name_ok && phase_ok
-    }
-
-    /// The gate back in `name[@phase]` form, for error messages.
-    fn spec(&self) -> String {
-        match &self.phase {
-            Some(phase) => format!("{}@{phase}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
-/// One gate evaluated against one matching metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateResult {
-    /// The flattened metric path the gate matched.
-    pub metric: String,
-    /// Baseline value.
-    pub base: f64,
-    /// Current value.
-    pub current: f64,
-    /// Signed movement in percent.
-    pub change_pct: f64,
-    /// Whether the movement exceeded the gate's tolerance in the bad
-    /// direction.
-    pub failed: bool,
-}
-
-/// Evaluates `gates` over the two documents. Errors when a gate matches
-/// no metric present in both documents (a misspelt gate must not pass
-/// silently).
-pub fn check(base: &Value, current: &Value, gates: &[Gate]) -> Result<Vec<GateResult>, String> {
-    let base = flatten(base);
-    let current = flatten(current);
-    let mut results = Vec::new();
-    for gate in gates {
-        let mut matched = false;
-        for (path, &b) in &base {
-            if !gate.matches(path) {
-                continue;
-            }
-            let Some(&c) = current.get(path) else {
-                return Err(format!(
-                    "gate '{}': metric '{path}' missing from current document",
-                    gate.spec()
-                ));
-            };
-            matched = true;
-            let change_pct = if b == 0.0 {
-                if c == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY * (c - b).signum()
-                }
-            } else {
-                (c - b) / b.abs() * 100.0
-            };
-            let failed = match gate.direction {
-                GateDirection::RiseIsBad => change_pct > gate.tolerance_pct,
-                GateDirection::FallIsBad => change_pct < -gate.tolerance_pct,
-                GateDirection::AnyIsBad => change_pct.abs() > gate.tolerance_pct,
-            };
-            results.push(GateResult {
-                metric: path.clone(),
-                base: b,
-                current: c,
-                change_pct,
-                failed,
-            });
-        }
-        if !matched {
-            return Err(format!("gate '{}': no metric matches", gate.spec()));
-        }
-    }
-    Ok(results)
-}
-
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e:?}"))
@@ -429,15 +258,10 @@ fn load(path: &str) -> Result<Value, String> {
 
 /// Exit code when a trace fails block CRC / record-count validation.
 pub const EXIT_CORRUPT_TRACE: i32 = 3;
-/// Exit code when two structurally valid traces diverge record-wise.
-pub const EXIT_TRACE_DIVERGENCE: i32 = 4;
 
 /// `bf-report trace <file.bft>`: print the trace header and stream
-/// statistics while validating every block CRC and record count; with a
-/// second file, additionally compare the two traces record by record
-/// and report the first divergence. Corruption exits
-/// [`EXIT_CORRUPT_TRACE`], a record-level divergence between two valid
-/// traces exits [`EXIT_TRACE_DIVERGENCE`]. `--salvage` reads a damaged
+/// statistics while validating every block CRC and record count.
+/// Corruption exits [`EXIT_CORRUPT_TRACE`]. `--salvage` reads a damaged
 /// trace in resync mode instead: corrupt blocks are skipped, decoding
 /// resumes at the next self-consistent block header, and the loss
 /// accounting is printed (exit 0 — salvage succeeding is the point).
@@ -455,13 +279,13 @@ fn run_trace(args: &[String]) -> Result<i32, String> {
             files.push(arg.clone());
         }
     }
+    let [path] = files.as_slice() else {
+        return Err(format!(
+            "trace mode takes one .bft file, got {}\n{USAGE}",
+            files.len()
+        ));
+    };
     if salvage {
-        let [path] = files.as_slice() else {
-            return Err(format!(
-                "trace --salvage takes exactly one .bft file, got {}\n{USAGE}",
-                files.len()
-            ));
-        };
         let mut reader = SalvageReader::open(path).map_err(|e| format!("opening {path}: {e}"))?;
         println!("{path} (salvage):");
         for (key, value) in reader.meta().entries() {
@@ -473,17 +297,6 @@ fn run_trace(args: &[String]) -> Result<i32, String> {
         println!("  {report}");
         return Ok(0);
     }
-    let (path, other) = match files.as_slice() {
-        [path] => (path, None),
-        [path, other] => (path, Some(other)),
-        _ => {
-            return Err(format!(
-                "trace mode takes one or two .bft files, got {}\n{USAGE}",
-                files.len()
-            ))
-        }
-    };
-
     let reader = TraceReader::open(path).map_err(|e| format!("opening {path}: {e}"))?;
     println!("{path}:");
     for (key, value) in reader.meta().entries() {
@@ -505,67 +318,11 @@ fn run_trace(args: &[String]) -> Result<i32, String> {
                 stats.accesses, stats.switches, stats.request_ends, stats.resets, stats.streams
             );
             println!("  all block CRCs and record counts valid");
+            Ok(0)
         }
         Err(error) => {
             println!("FAIL  {path}: {error}");
-            return Ok(EXIT_CORRUPT_TRACE);
-        }
-    }
-
-    let Some(other) = other else {
-        return Ok(0);
-    };
-    match compare_traces(path, other) {
-        Ok(records) => {
-            println!("\ntraces identical: {records} records");
-            Ok(0)
-        }
-        Err(divergence) => {
-            println!("\nFAIL  {divergence}");
-            // A decode error inside the comparison is corruption; a
-            // clean decode with differing records is a determinism
-            // mismatch.
-            if divergence.contains("corrupt block") {
-                Ok(EXIT_CORRUPT_TRACE)
-            } else {
-                Ok(EXIT_TRACE_DIVERGENCE)
-            }
-        }
-    }
-}
-
-/// Compares two traces header-and-record-wise; `Err` carries the first
-/// divergence, `Ok` the total record count.
-fn compare_traces(a_path: &str, b_path: &str) -> Result<u64, String> {
-    use babelfish::capture::TraceReader;
-
-    let mut a = TraceReader::open(a_path).map_err(|e| format!("opening {a_path}: {e}"))?;
-    let mut b = TraceReader::open(b_path).map_err(|e| format!("opening {b_path}: {e}"))?;
-    if a.meta() != b.meta() {
-        return Err(format!("headers differ between {a_path} and {b_path}"));
-    }
-    let mut index = 0u64;
-    loop {
-        let left = a.next().transpose().map_err(|e| format!("{a_path}: {e}"))?;
-        let right = b.next().transpose().map_err(|e| format!("{b_path}: {e}"))?;
-        match (left, right) {
-            (None, None) => return Ok(index),
-            (Some(l), Some(r)) if l == r => index += 1,
-            (Some(l), Some(r)) => {
-                return Err(format!(
-                    "traces diverge at record {index}: {a_path} has {l:?}, {b_path} has {r:?}"
-                ))
-            }
-            (Some(l), None) => {
-                return Err(format!(
-                    "{b_path} ends at record {index}; {a_path} continues with {l:?}"
-                ))
-            }
-            (None, Some(r)) => {
-                return Err(format!(
-                    "{a_path} ends at record {index}; {b_path} continues with {r:?}"
-                ))
-            }
+            Ok(EXIT_CORRUPT_TRACE)
         }
     }
 }
@@ -809,37 +566,16 @@ fn render_timeline(doc: &Value, metrics: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the per-phase movement between two timeline documents:
-/// every flattened metric under a `phases.*` summary that moved,
-/// biggest relative movement first.
-fn render_timeline_diff(base: &Value, current: &Value, top: usize) {
-    let rows: Vec<DiffRow> = diff(base, current)
-        .into_iter()
-        .filter(|row| row.name.contains(".phases."))
-        .collect();
-    if rows.is_empty() {
-        println!("no phase-level movement between the two timelines");
-        return;
-    }
-    print!("{}", render_diff(&rows, top));
-}
-
-/// `bf-report timeline <file> [<baseline>]`: validate the conservation
-/// law and recorded invariants of `<file>`, render sparklines and phase
-/// summaries, and (with a second file) print the per-phase diff against
-/// it. Returns `Ok(true)` — exit code 1 — when validation fails.
+/// `bf-report timeline <file>`: validate the conservation law and
+/// recorded invariants of `<file>` and render sparklines and phase
+/// summaries. Returns `Ok(true)` — exit code 1 — when validation fails.
 fn run_timeline(args: &[String]) -> Result<bool, String> {
     let mut files = Vec::new();
     let mut metrics: Vec<String> = Vec::new();
-    let mut top = 20usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--metric" => metrics.push(iter.next().ok_or("--metric needs a counter name")?.clone()),
-            "--top" => {
-                let n = iter.next().ok_or("--top needs a number")?;
-                top = n.parse().map_err(|_| format!("bad --top '{n}'"))?;
-            }
             other if !other.starts_with("--") => files.push(other.to_owned()),
             other => return Err(format!("unknown timeline argument '{other}'\n{USAGE}")),
         }
@@ -850,24 +586,15 @@ fn run_timeline(args: &[String]) -> Result<bool, String> {
             .map(|s| (*s).to_owned())
             .collect();
     }
-    let (current_path, base_path) = match files.as_slice() {
-        [current] => (current, None),
-        [current, base] => (current, Some(base)),
-        _ => {
-            return Err(format!(
-                "timeline mode takes one or two JSON files, got {}\n{USAGE}",
-                files.len()
-            ))
-        }
+    let [path] = files.as_slice() else {
+        return Err(format!(
+            "timeline mode takes one JSON file, got {}\n{USAGE}",
+            files.len()
+        ));
     };
-    let current = load(current_path)?;
-    render_timeline(&current, &metrics)?;
-    if let Some(base_path) = base_path {
-        let base = load(base_path)?;
-        println!("\nphase-level movement vs {base_path}:");
-        render_timeline_diff(&base, &current, top);
-    }
-    let failures = validate_timeline_doc(&current)?;
+    let doc = load(path)?;
+    render_timeline(&doc, &metrics)?;
+    let failures = validate_timeline_doc(&doc)?;
     if failures.is_empty() {
         println!("\ntimeline OK: conservation holds, no invariant violations");
         Ok(false)
@@ -1217,7 +944,7 @@ fn history_rise_is_bad(metric: &str) -> bool {
 }
 
 /// Renders the per-group trend tables. For each group, the reported
-/// metrics are `wanted` (exact or `.`-suffix matches, like gates) or —
+/// metrics are `wanted` (exact or `.`-suffix matches) or —
 /// when `wanted` is empty — the `top` biggest relative movers between
 /// the group's oldest and newest run. Each metric row shows every run's
 /// value (oldest first), a sparkline, and the latest-vs-previous
@@ -1389,9 +1116,9 @@ fn run_history(args: &[String]) -> Result<bool, String> {
 }
 
 /// The `bf-report` command line: one of the subcommands listed in the
-/// usage text. Returns the process exit code (0 ok, 1 regression,
-/// 2 usage/IO error, 3 corrupt trace, 4 trace divergence — see the
-/// usage text). `--help` anywhere prints the usage to stdout and exits
+/// usage text. Returns the process exit code (0 ok, 1 failed
+/// validation or flagged regression, 2 usage/IO error, 3 corrupt trace
+/// — see the usage text). `--help` anywhere prints the usage to stdout and exits
 /// 0; no arguments or an unknown subcommand prints it to stderr and
 /// exits 2.
 pub fn run_cli(args: &[String]) -> i32 {
@@ -1415,16 +1142,14 @@ pub fn run_cli(args: &[String]) -> i32 {
 const USAGE: &str = "usage: bf-report <subcommand> [args...]
 
 subcommands:
-  timeline  timeline <current.json> [<baseline.json>] [--metric NAME ...] [--top N]
+  timeline  timeline <file.json> [--metric NAME ...]
             render + validate a <figure>-timeline export
-  trace     trace <trace.bft> [<other.bft>] [--salvage]
-            summarise (and byte-compare) captured binary traces;
-            --salvage skips corrupt blocks, resyncs at the next valid
-            block header, and prints the exact loss accounting
+  trace     trace <trace.bft> [--salvage]
+            summarise a captured binary trace and validate its block
+            CRCs; --salvage skips corrupt blocks, resyncs at the next
+            valid block header, and prints the exact loss accounting
   diff      diff <base.json> <current.json> [--top N]
             flatten two results documents and show metric movement
-  check     check <baseline.json> <current.json> --gate 'name[@phase]=+P%|-P%|~P%' [--gate ...] [--top N]
-            diff, then fail (exit 1) on gated regressions
   profile   profile <figure-profile.json> [--top N] [--folded FILE]
             render a <figure>-profile export: hot regions, TLB set
             conflicts, per-container blame, walk-path flamegraph stacks
@@ -1441,10 +1166,9 @@ subcommands:
 
 exit codes:
   0  success
-  1  gated regression or timeline validation failure
+  1  timeline validation failure or flagged history regression
   2  usage or I/O error
-  3  corrupt trace (CRC/framing damage; try trace --salvage)
-  4  trace comparison diverged (determinism mismatch between valid traces)";
+  3  corrupt trace (CRC/framing damage; try trace --salvage)";
 
 /// Folds a bool-style subcommand result (`true` = failed) into the
 /// classic 0/1 exit codes.
@@ -1458,87 +1182,46 @@ fn exit_flag(failed: bool) -> i32 {
 
 fn run(args: &[String]) -> Result<i32, String> {
     match args.first().map(String::as_str).unwrap_or_default() {
-        "timeline" => return run_timeline(&args[1..]).map(exit_flag),
-        "trace" => return run_trace(&args[1..]),
-        "profile" => return run_profile(&args[1..]).map(exit_flag),
-        "history" => return run_history(&args[1..]).map(exit_flag),
-        "diff" | "--diff" | "check" | "--check" => {}
-        other => return Err(format!("unknown subcommand '{other}'\n{USAGE}")),
+        "timeline" => run_timeline(&args[1..]).map(exit_flag),
+        "trace" => run_trace(&args[1..]),
+        "profile" => run_profile(&args[1..]).map(exit_flag),
+        "history" => run_history(&args[1..]).map(exit_flag),
+        "diff" => run_diff(&args[1..]).map(|()| 0),
+        other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     }
-    let mut mode = None;
+}
+
+/// `bf-report diff <base> <current>`: print every metric that moved
+/// between the two documents, biggest relative movement first.
+fn run_diff(args: &[String]) -> Result<(), String> {
     let mut files = Vec::new();
-    let mut gates = Vec::new();
     let mut top = 20usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "diff" | "--diff" if mode.is_none() => mode = Some("diff"),
-            "check" | "--check" if mode.is_none() => mode = Some("check"),
-            "--gate" => {
-                let spec = iter.next().ok_or("--gate needs a specification")?;
-                gates.push(Gate::parse(spec)?);
-            }
             "--top" => {
                 let n = iter.next().ok_or("--top needs a number")?;
                 top = n.parse().map_err(|_| format!("bad --top '{n}'"))?;
             }
             other if !other.starts_with("--") => files.push(other.to_owned()),
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
+            other => return Err(format!("unknown diff argument '{other}'\n{USAGE}")),
         }
     }
-    let mode = mode.ok_or(USAGE)?;
     let [base_path, current_path] = files.as_slice() else {
         return Err(format!(
-            "expected two JSON files, got {}\n{USAGE}",
+            "diff mode takes two JSON files, got {}\n{USAGE}",
             files.len()
         ));
     };
-    let base = load(base_path)?;
-    let current = load(current_path)?;
-
-    let rows = diff(&base, &current);
+    let rows = diff(&load(base_path)?, &load(current_path)?);
     print!("{}", render_diff(&rows, top));
-    if mode == "diff" {
-        return Ok(0);
-    }
-
-    if gates.is_empty() {
-        return Err("check mode needs at least one --gate".to_owned());
-    }
-    let results = check(&base, &current, &gates)?;
-    let mut regressed = false;
-    println!();
-    for r in &results {
-        let verdict = if r.failed { "FAIL" } else { "ok" };
-        regressed |= r.failed;
-        println!(
-            "{verdict:>4}  {:<56} {:>12.3} -> {:>12.3} ({:+.1}%)",
-            r.metric, r.base, r.current, r.change_pct
-        );
-    }
-    if regressed {
-        println!("\nregression gate FAILED");
-    } else {
-        println!("\nall gates passed");
-    }
-    Ok(exit_flag(regressed))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json_object;
-
-    fn doc(mpki: f64, reduction: f64) -> Value {
-        json_object([(
-            "rows",
-            Value::Array(vec![json_object([
-                ("app", Value::String("mongodb".to_owned())),
-                ("d_mpki", Value::F64(mpki)),
-                ("d_mpki_reduction_pct", Value::F64(reduction)),
-            ])]),
-        )])
-    }
 
     #[test]
     fn flatten_uses_app_names_and_histograms() {
@@ -1581,8 +1264,7 @@ mod tests {
     fn manifest_is_invisible_to_diff_and_gates() {
         // Two documents with identical metrics but entirely different
         // manifests — different identity half AND different volatile
-        // half. The committed-baseline contract: diff shows nothing,
-        // gates can't even address manifest fields.
+        // half: diff shows nothing.
         let manifest = |hash: &str, threads: u64| {
             json_object([
                 ("config_hash", Value::String(hash.to_owned())),
@@ -1614,17 +1296,6 @@ mod tests {
             diff(&base, &current).is_empty(),
             "manifest-only differences must not diff"
         );
-        let ok = check(&base, &current, &[Gate::parse("l2_mpki=+1%").unwrap()]).unwrap();
-        assert!(ok.iter().all(|g| !g.failed));
-        // Gates cannot address manifest fields at all: a gate aimed at
-        // one is a hard error (no metric matches), never a silent pass.
-        assert!(check(
-            &base,
-            &current,
-            &[Gate::parse("manifest.volatile.threads=~0%").unwrap()]
-        )
-        .unwrap_err()
-        .contains("no metric matches"));
     }
 
     #[test]
@@ -1689,8 +1360,6 @@ mod tests {
             instrs_before: 2,
         };
         let a = write("a.bft", &[access(0x1000), Record::Reset, access(0x2000)]);
-        let twin = write("twin.bft", &[access(0x1000), Record::Reset, access(0x2000)]);
-        let b = write("b.bft", &[access(0x1000), Record::Reset, access(0x3000)]);
 
         let args = |files: &[&str]| {
             std::iter::once("trace".to_owned())
@@ -1698,12 +1367,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run_cli(&args(&[&a])), 0, "clean trace validates");
-        assert_eq!(run_cli(&args(&[&a, &twin])), 0, "identical traces match");
-        assert_eq!(
-            run_cli(&args(&[&a, &b])),
-            EXIT_TRACE_DIVERGENCE,
-            "divergent traces exit 4"
-        );
+        assert_eq!(run_cli(&args(&[&a, &a])), 2, "one file per call");
 
         // Corrupt one payload byte: validation must exit 3, and the
         // salvage pass over the same bytes must still succeed (exit 0).
@@ -1723,117 +1387,9 @@ mod tests {
     #[test]
     fn exit_codes_are_pinned_and_documented() {
         assert_eq!(EXIT_CORRUPT_TRACE, 3);
-        assert_eq!(EXIT_TRACE_DIVERGENCE, 4);
         assert!(USAGE.contains("exit codes"), "{USAGE}");
         assert!(USAGE.contains("3  corrupt trace"), "{USAGE}");
-        assert!(USAGE.contains("4  trace comparison diverged"), "{USAGE}");
         assert!(USAGE.contains("--salvage"), "{USAGE}");
-    }
-
-    #[test]
-    fn gate_parses_both_directions() {
-        let up = Gate::parse("mpki=+10%").unwrap();
-        assert_eq!(up.direction, GateDirection::RiseIsBad);
-        assert_eq!(up.tolerance_pct, 10.0);
-        let down = Gate::parse("reduction=-25").unwrap();
-        assert_eq!(down.direction, GateDirection::FallIsBad);
-        assert!(Gate::parse("nope").is_err());
-        assert!(Gate::parse("x=10%").is_err(), "sign is required");
-    }
-
-    #[test]
-    fn seeded_regression_trips_the_gate() {
-        // Baseline reduction 60 %, current collapses to 20 %: a 66 %
-        // relative fall, far past the 25 % tolerance.
-        let baseline = doc(2.0, 60.0);
-        let current = doc(2.1, 20.0);
-        let gates = [Gate::parse("d_mpki_reduction_pct=-25%").unwrap()];
-        let results = check(&baseline, &current, &gates).unwrap();
-        assert_eq!(results.len(), 1);
-        assert!(results[0].failed);
-
-        // Small wobble stays inside the tolerance.
-        let ok = check(&baseline, &doc(2.1, 55.0), &gates).unwrap();
-        assert!(!ok[0].failed);
-    }
-
-    #[test]
-    fn misspelt_gate_is_an_error_not_a_pass() {
-        let baseline = doc(2.0, 60.0);
-        let gates = [Gate::parse("no_such_metric=-25%").unwrap()];
-        assert!(check(&baseline, &baseline, &gates).is_err());
-    }
-
-    #[test]
-    fn any_is_bad_gate_catches_drift_both_ways() {
-        let gate = Gate::parse("d_mpki=~0%").unwrap();
-        assert_eq!(gate.direction, GateDirection::AnyIsBad);
-        let baseline = doc(2.0, 60.0);
-        for drifted in [doc(2.1, 60.0), doc(1.9, 60.0)] {
-            let results = check(&baseline, &drifted, std::slice::from_ref(&gate)).unwrap();
-            assert!(results[0].failed, "any drift must fail a ~0% gate");
-        }
-        let same = check(&baseline, &doc(2.0, 60.0), std::slice::from_ref(&gate)).unwrap();
-        assert!(!same[0].failed);
-    }
-
-    /// A minimal timeline document: one cell, three phases, with the
-    /// given steady-state (`last`) MPKI.
-    fn timeline_phase_doc(last_mpki: f64) -> Value {
-        let phase = |mpki: f64| {
-            json_object([
-                ("epochs", Value::U64(2)),
-                ("accesses", Value::U64(128)),
-                ("l2_mpki", Value::F64(mpki)),
-            ])
-        };
-        json_object([(
-            "cells",
-            Value::Array(vec![json_object([
-                ("name", Value::String("mongodb-babelfish".to_owned())),
-                (
-                    "timeline",
-                    json_object([(
-                        "phases",
-                        json_object([
-                            ("first", phase(9.0)),
-                            ("mid", phase(4.0)),
-                            ("last", phase(last_mpki)),
-                        ]),
-                    )]),
-                ),
-            ])]),
-        )])
-    }
-
-    #[test]
-    fn phase_gate_parses_and_matches_only_its_phase() {
-        let gate = Gate::parse("l2_mpki@last=+10%").unwrap();
-        assert_eq!(gate.name, "l2_mpki");
-        assert_eq!(gate.phase.as_deref(), Some("last"));
-        assert!(gate.matches("cells.mongodb-babelfish.timeline.phases.last.l2_mpki"));
-        assert!(
-            !gate.matches("cells.mongodb-babelfish.timeline.phases.first.l2_mpki"),
-            "a @last gate must ignore the warm-up phase"
-        );
-        assert!(Gate::parse("l2_mpki@warmup=+10%").is_err(), "unknown phase");
-    }
-
-    #[test]
-    fn injected_phase_regression_trips_the_gate() {
-        let baseline = timeline_phase_doc(2.0);
-        let regressed = timeline_phase_doc(3.0); // +50 % steady-state MPKI
-        let gates = [Gate::parse("l2_mpki@last=+10%").unwrap()];
-        let results = check(&baseline, &regressed, &gates).unwrap();
-        assert_eq!(results.len(), 1, "only the last phase is gated");
-        assert!(results[0].failed);
-        assert!(results[0].metric.contains("phases.last"));
-
-        // The warm-up phase regressing does not trip a @last gate: its
-        // first-phase MPKI of 9.0 is shared by both documents here, and
-        // an identical steady state passes.
-        let ok = check(&baseline, &timeline_phase_doc(2.1), &gates).unwrap();
-        assert!(!ok[0].failed);
     }
 
     #[test]
@@ -1944,8 +1500,9 @@ mod tests {
         assert_eq!(run_cli(&[]), 2);
         assert_eq!(run_cli(&["frobnicate".to_owned()]), 2);
         assert_eq!(run_cli(&["time".to_owned()]), 2);
+        assert_eq!(run_cli(&["check".to_owned()]), 2);
         // Every subcommand is in the usage text.
-        for sub in ["timeline", "trace", "diff", "check", "profile", "history"] {
+        for sub in ["timeline", "trace", "diff", "profile", "history"] {
             assert!(USAGE.contains(sub), "usage is missing '{sub}'");
         }
     }
@@ -1986,16 +1543,5 @@ mod tests {
             Value::String("fig10_tlb-timeline".to_owned())
         )]))
         .is_err());
-    }
-
-    #[test]
-    fn rise_is_bad_gate_catches_mpki_growth() {
-        let baseline = doc(2.0, 60.0);
-        let worse = doc(3.0, 60.0); // +50 % MPKI
-        let gates = [Gate::parse("d_mpki=+10%").unwrap()];
-        let results = check(&baseline, &worse, &gates).unwrap();
-        assert!(results[0].failed);
-        let better = doc(1.0, 60.0); // falling MPKI never fails a + gate
-        assert!(!check(&baseline, &better, &gates).unwrap()[0].failed);
     }
 }

@@ -1,9 +1,9 @@
 //! The shared command-line contract, pinned across every binary in the
 //! crate: `--help` (and `-h`) exits 0 and prints a usage text on
 //! stdout; an unknown flag exits 2 and names the offender on stderr.
-//! The removed `--batch` option counts as unknown: a bin that silently
-//! ignored it would run a different experiment than the caller asked
-//! for.
+//! The removed `--batch` and `--replay` options count as unknown:
+//! a bin that silently ignored one would run a different experiment
+//! than the caller asked for (replay a trace with `bf_replay`).
 //! One table drives all bins so a new binary that forgets the contract
 //! fails here, not in someone's CI script.
 
@@ -61,7 +61,12 @@ fn every_bin_exits_zero_on_help_with_usage_text() {
 #[test]
 fn every_bin_exits_two_on_unknown_flags() {
     for (name, exe) in BINS {
-        for flag in ["--definitely-not-a-flag", "--batch", "--batch=64"] {
+        for flag in [
+            "--definitely-not-a-flag",
+            "--batch",
+            "--batch=64",
+            "--replay=x.bft",
+        ] {
             let out = Command::new(exe)
                 .arg(flag)
                 .output()

@@ -226,8 +226,8 @@ impl TimelineSnapshot {
 
     /// Splits the epochs into thirds by index: `first` = `[0, n/3)`,
     /// `mid` = `[n/3, 2n/3)`, `last` = `[2n/3, n)`. With at least one
-    /// epoch, `last` is never empty, so steady-state gates always have
-    /// data to bite on.
+    /// epoch, `last` is never empty, so the steady-state summary always
+    /// has data.
     pub fn phases(&self) -> [(&'static str, PhaseSummary); 3] {
         let n = self.epochs.len();
         let (a, b) = (n / 3, 2 * n / 3);

@@ -1,8 +1,9 @@
 //! End-to-end span tracing: run a real machine with tracing on, export
 //! the Chrome trace, and validate it — plus the snapshot-schema pins for
-//! the drop counters.
+//! the drop counters, and a check that tracing observes the simulated
+//! window without changing it.
 
-use babelfish::experiment::{run_serving_machine, ExperimentConfig};
+use babelfish::experiment::{run_serving, run_serving_machine, ExperimentConfig};
 use babelfish::{Mode, ServingVariant};
 use bf_telemetry::{validate_chrome_trace, SpanPhase};
 use serde::Serialize;
@@ -54,6 +55,32 @@ fn untraced_run_records_no_spans() {
     cfg.trace_sample_every = 0;
     let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, &cfg);
     assert!(machine.spans().is_empty(), "sampling 0 disables tracing");
+}
+
+/// Tracing is an observer: sampling every access must leave the
+/// simulated window bit-for-bit as an untraced run leaves it. This is
+/// what lets CI upload a `--trace` run's Chrome trace without gating
+/// its numbers separately: the untraced quick Fig. 10 run is already
+/// compared byte for byte with its committed baseline.
+#[test]
+fn tracing_leaves_the_simulated_window_unchanged() {
+    let window = |trace_sample_every: u64| {
+        let mut cfg = ExperimentConfig::smoke_test();
+        cfg.trace_sample_every = trace_sample_every;
+        run_serving(Mode::babelfish(), ServingVariant::MongoDb, &cfg)
+    };
+    let (traced, untraced) = (window(1), window(0));
+    assert_eq!(traced.exec_cycles, untraced.exec_cycles);
+    assert_eq!(
+        serde_json::to_string(&traced.stats.to_value()).unwrap(),
+        serde_json::to_string(&untraced.stats.to_value()).unwrap()
+    );
+    assert_eq!(traced.telemetry.counters, untraced.telemetry.counters);
+    assert_eq!(traced.telemetry.histograms, untraced.telemetry.histograms);
+    assert!(
+        traced.telemetry.counters["tlb.l2.misses"] > 0,
+        "the window does real TLB work"
+    );
 }
 
 #[test]
