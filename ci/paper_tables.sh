@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Paper-table gate: every figure/table binary with a committed
 # results/<bin>.txt must print exactly that file at paper scale. The
-# `wrote ...` lines name timestamped JSON files and are ignored. Sweep
-# cells run on two workers (BF_THREADS=2); the output does not depend
-# on the worker count.
+# `wrote ...` lines name the JSON documents a run writes and are
+# ignored. Sweep cells run on two workers (BF_THREADS=2); the output
+# does not depend on the worker count.
 #
 # Usage: cargo build --release -p bf-bench && ci/paper_tables.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
 # The binaries write their JSON documents under ./results; run them in a
-# scratch directory so the committed snapshots stay untouched.
+# scratch directory so the checkout's results/ stays untouched.
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 status=0

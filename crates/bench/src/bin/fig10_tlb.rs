@@ -6,7 +6,7 @@
 //! data/instruction L2 TLB MPKI reduction (Fig. 10a) and the fraction of
 //! L2 TLB hits served by entries another process loaded (Fig. 10b).
 //! Also writes the full dataset — stats, telemetry snapshots, and
-//! the derived figures — as a timestamped JSON file under `results/`.
+//! the derived figures — to `results/fig10_tlb-latest.json`.
 //! Paper reference points: Data Serving D-MPKI −66 %, I-MPKI −96 %;
 //! GraphChi shared hits 48 % (I) / 12 % (D).
 

@@ -8,7 +8,7 @@
 //!
 //! Cells execute in parallel on the bf-exec sweep runner (`--threads`)
 //! with deterministic output; the derived reductions are also written
-//! as a timestamped JSON file under `results/`.
+//! to `results/fig11_performance-latest.json`.
 
 use bf_bench::sweeps::{fig11_data, fig11_doc, fig11_profile_cells, fig11_timeline_cells};
 use bf_bench::{header, reduction_pct, versus};

@@ -6,8 +6,8 @@
 //! Paper reference points: 53 % of serving+compute `pte_t`s shareable on
 //! average (functions ≈ 94 %), BabelFish cutting active `pte_t`s by
 //! ≈ 30 % (serving/compute) and ≈ 57 % (functions).
-//! Also writes the census dataset as a timestamped JSON file under
-//! `results/`.
+//! Also writes the census dataset to
+//! `results/fig9_pte_sharing-latest.json`.
 
 use babelfish::exec::Sweep;
 use babelfish::experiment::{run_census_timed, CensusApp, ComputeKind};

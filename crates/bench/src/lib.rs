@@ -73,7 +73,7 @@ pub struct BenchArgs {
     pub heartbeat: Option<String>,
     /// Raw `--faults`/`BF_FAULTS` spec string as the user wrote it
     /// (the parsed plan lives in `cfg.faults`); stamped into run
-    /// manifests so cross-run history can join on it.
+    /// manifests, the only record of the spec in a results document.
     pub faults_spec: Option<String>,
     /// Emits the heartbeat `run_end` event when the last clone drops
     /// (end of `main`) — no per-binary epilogue needed.
@@ -309,7 +309,7 @@ pub fn parse_args() -> BenchArgs {
 }
 
 /// Process-wide run identity recorded once at argument-parse time and
-/// consumed by [`write_results`] when it stamps the run manifest.
+/// consumed by [`stamp_manifest`] and the heartbeat `run_start` event.
 /// Binaries with their own parsers (`bf_replay`) call
 /// [`set_run_context`] themselves; a process that never sets one (unit
 /// tests, library use) stamps the defaults: no faults, zero
@@ -318,7 +318,8 @@ pub fn parse_args() -> BenchArgs {
 pub struct RunContext {
     /// Raw fault spec string (`--faults`/`BF_FAULTS`) or `None`.
     pub faults_spec: Option<String>,
-    /// Resolved sweep worker count (volatile — affects only wall clock).
+    /// Resolved sweep worker count (heartbeat manifest only — affects
+    /// only wall clock).
     pub threads: usize,
     /// Heartbeat NDJSON sink, when live observability is on.
     pub heartbeat: Option<PathBuf>,
@@ -383,10 +384,10 @@ fn stable_manifest(config: Option<&Value>, faults_spec: Option<&str>) -> Value {
     ])
 }
 
-/// The wall-clock half of a run manifest. Only attached while the
-/// heartbeat is armed, and always under the single `volatile` key that
-/// `bf_report diff` skips wholesale — so unarmed runs (and therefore
-/// the committed baselines) never contain host-dependent bytes.
+/// The wall-clock half of a run manifest. Attached only to the
+/// heartbeat `run_start` event, under the single `volatile` key that
+/// `strip_volatile_line` removes — results documents never contain
+/// host-dependent bytes, armed or not.
 fn volatile_manifest(threads: usize) -> Value {
     let started_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -437,19 +438,12 @@ fn git_rev() -> Value {
 }
 
 /// Returns `doc` with the run manifest stamped under its `manifest`
-/// key: the stable identity always, plus the `volatile` wall-clock
-/// fields only while the heartbeat is armed (keeping unarmed output
-/// byte-stable). The stable fields derive from the document's own
-/// embedded `config`, so a replayed trace stamps the same identity as
-/// the capture run regardless of which binary wrote it.
+/// key. Every field derives from the document's own embedded `config`
+/// and the fault spec, so the document is byte-identical whether or
+/// not the heartbeat is armed, and a replayed trace stamps the same
+/// identity as the capture run regardless of which binary wrote it.
 pub fn stamp_manifest(doc: &Value) -> Value {
-    let ctx = run_context();
-    let mut manifest = stable_manifest(doc.get("config"), ctx.faults_spec.as_deref());
-    if bf_telemetry::heartbeat::armed() {
-        if let Value::Object(map) = &mut manifest {
-            map.insert("volatile".to_owned(), volatile_manifest(ctx.threads));
-        }
-    }
+    let manifest = stable_manifest(doc.get("config"), run_context().faults_spec.as_deref());
     let mut doc = doc.clone();
     if let Value::Object(map) = &mut doc {
         map.insert("manifest".to_owned(), manifest);
@@ -457,19 +451,16 @@ pub fn stamp_manifest(doc: &Value) -> Value {
     doc
 }
 
-/// Writes `doc` under `results/` twice: a timestamped archival copy and
-/// a stable `<stem>-latest.json` overwritten on every run, which tooling
-/// (and CI's byte-exact baseline comparisons) can point at. Stamps the
-/// run manifest (see [`stamp_manifest`]) into both copies and reports
-/// the write on the heartbeat stream. Returns `(timestamped, latest)`.
-pub fn write_results(stem: &str, doc: &Value) -> std::io::Result<(PathBuf, PathBuf)> {
+/// [`emit_results`] without the stdout line, shared with its timeline
+/// and profile twins.
+fn write_latest(stem: &str, doc: &Value) -> PathBuf {
     let doc = stamp_manifest(doc);
-    let stamped = bf_telemetry::results_path("results", stem, "json");
-    bf_telemetry::write_json(&stamped, &doc).map_err(|e| named_io_error(&stamped, e))?;
-    let latest = Path::new("results").join(format!("{stem}-latest.json"));
-    bf_telemetry::write_json(&latest, &doc).map_err(|e| named_io_error(&latest, e))?;
-    bf_telemetry::heartbeat::results_written(&latest, doc.get("figure").and_then(Value::as_str));
-    Ok((stamped, latest))
+    let path = Path::new("results").join(format!("{stem}-latest.json"));
+    if let Err(e) = bf_telemetry::write_json(&path, &doc) {
+        exit_write_error(named_io_error(&path, e));
+    }
+    bf_telemetry::heartbeat::results_written(&path, doc.get("figure").and_then(Value::as_str));
+    path
 }
 
 /// Wraps a write failure with the offending path, so the bench binaries
@@ -485,47 +476,49 @@ fn exit_write_error(err: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// The standard results epilogue every figure binary used to hand-roll:
-/// [`write_results`] plus the `wrote <latest> (and <stamped>)` stdout
-/// line. Returns the stable `-latest.json` path. Reports write failures
-/// (naming the path) and exits 1 instead of panicking.
+/// The standard results epilogue of every figure binary: stamps the
+/// run manifest into `doc` (see [`stamp_manifest`]), writes it to
+/// `results/<stem>-latest.json` — overwritten on every run, the file
+/// CI's byte-exact baseline comparisons point at — reports the write
+/// on the heartbeat stream and prints a `wrote <path>` line. Returns
+/// the path. A write failure is reported (naming the path) and exits 1
+/// instead of panicking.
 pub fn emit_results(stem: &str, doc: &Value) -> PathBuf {
-    let (stamped, latest) = write_results(stem, doc).unwrap_or_else(|e| exit_write_error(e));
-    println!("\nwrote {} (and {})", latest.display(), stamped.display());
-    latest
+    let path = write_latest(stem, doc);
+    println!("\nwrote {}", path.display());
+    path
 }
 
-/// The timeline twin of [`emit_results`]: [`write_timeline_results`]
-/// plus its stdout pointer line. Quietly does nothing when timelines
-/// were off for the run.
+/// The timeline twin of [`emit_results`]: writes the [`timeline_doc`]
+/// to `results/<stem>-timeline-latest.json` and prints its pointer
+/// line. Quietly does nothing when timelines were off for the run
+/// (`cfg.timeline_every == 0`).
 pub fn emit_timeline_results(
     stem: &str,
     cfg: &ExperimentConfig,
     cells: &[(String, Option<TimelineSnapshot>)],
 ) {
-    if let Some((_, latest)) =
-        write_timeline_results(stem, cfg, cells).unwrap_or_else(|e| exit_write_error(e))
-    {
-        println!(
-            "wrote {} (render with bf_report timeline)",
-            latest.display()
-        );
+    if cfg.timeline_every == 0 {
+        return;
     }
+    let path = write_latest(&format!("{stem}-timeline"), &timeline_doc(stem, cfg, cells));
+    println!("wrote {} (render with bf_report timeline)", path.display());
 }
 
-/// The profile twin of [`emit_results`]: [`write_profile_results`] plus
-/// its stdout pointer line. Quietly does nothing when profiling was off
-/// for the run.
+/// The profile twin of [`emit_results`]: writes the [`profile_doc`] to
+/// `results/<stem>-profile-latest.json` and prints its pointer line.
+/// Quietly does nothing when profiling was off for the run
+/// (`cfg.profile_top_k == 0`).
 pub fn emit_profile_results(
     stem: &str,
     cfg: &ExperimentConfig,
     cells: &[(String, Option<ProfileSnapshot>)],
 ) {
-    if let Some((_, latest)) =
-        write_profile_results(stem, cfg, cells).unwrap_or_else(|e| exit_write_error(e))
-    {
-        println!("wrote {} (render with bf_report profile)", latest.display());
+    if cfg.profile_top_k == 0 {
+        return;
     }
+    let path = write_latest(&format!("{stem}-profile"), &profile_doc(stem, cfg, cells));
+    println!("wrote {} (render with bf_report profile)", path.display());
 }
 
 /// Prints a per-cell progress line to stderr unless `--quiet` was given.
@@ -601,23 +594,6 @@ fn annotate_phase_mpki(cell: &mut Value) {
     }
 }
 
-/// Writes the [`timeline_doc`] for one figure under `results/` — a
-/// timestamped archival copy plus the stable
-/// `<stem>-timeline-latest.json` — and returns both paths. Returns
-/// `Ok(None)` when timelines were off for the run
-/// (`cfg.timeline_every == 0`).
-pub fn write_timeline_results(
-    stem: &str,
-    cfg: &ExperimentConfig,
-    cells: &[(String, Option<TimelineSnapshot>)],
-) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    if cfg.timeline_every == 0 {
-        return Ok(None);
-    }
-    let doc = timeline_doc(stem, cfg, cells);
-    write_results(&format!("{stem}-timeline"), &doc).map(Some)
-}
-
 /// Builds the `<stem>-profile` results document: one entry per sweep
 /// cell, in submission order, each carrying the cell's
 /// [`ProfileSnapshot`] (or `null` for cells that ran without one). The
@@ -643,23 +619,6 @@ pub fn profile_doc(
         ("config", cfg.to_value()),
         ("cells", Value::Array(rows)),
     ])
-}
-
-/// Writes the [`profile_doc`] for one figure under `results/` — a
-/// timestamped archival copy plus the stable
-/// `<stem>-profile-latest.json` — and returns both paths. Returns
-/// `Ok(None)` when profiling was off for the run
-/// (`cfg.profile_top_k == 0`).
-pub fn write_profile_results(
-    stem: &str,
-    cfg: &ExperimentConfig,
-    cells: &[(String, Option<ProfileSnapshot>)],
-) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    if cfg.profile_top_k == 0 {
-        return Ok(None);
-    }
-    let doc = profile_doc(stem, cfg, cells);
-    write_results(&format!("{stem}-profile"), &doc).map(Some)
 }
 
 /// Runs one traced BabelFish data-serving window and writes its Chrome

@@ -51,9 +51,8 @@ fn walk(value: &Value, path: String, out: &mut BTreeMap<String, f64>) {
                 return;
             }
             for (key, child) in map {
-                // The top-level run manifest is identity + volatile
-                // wall-clock fields, not metrics: diff must never
-                // show it (`history` reads it directly).
+                // The top-level run manifest is run identity, not
+                // metrics: diff must never show it.
                 if path.is_empty() && key == "manifest" {
                     continue;
                 }
@@ -838,287 +837,10 @@ fn run_profile(args: &[String]) -> Result<bool, String> {
     Ok(false)
 }
 
-/// One timestamped results document in a [`HistoryGroup`].
-#[derive(Debug, Clone)]
-pub struct HistoryRun {
-    /// Unix timestamp parsed from the `<stem>-<unix>.json` filename.
-    pub timestamp: u64,
-    /// File name (not the full path), for pointers in the output.
-    pub file: String,
-    /// The document, flattened into dotted metrics (manifest excluded).
-    pub metrics: BTreeMap<String, f64>,
-}
-
-/// Every run of one experiment identity, oldest first. Identity is the
-/// manifest join key: figure x config hash x seed x fault spec — runs
-/// of different configurations never land in the same trend table.
-#[derive(Debug, Clone)]
-pub struct HistoryGroup {
-    /// The document's `figure` name.
-    pub figure: String,
-    /// `manifest.config_hash` (or `-` for pre-manifest documents).
-    pub config_hash: String,
-    /// `manifest.seed` as a display string.
-    pub seed: String,
-    /// `manifest.faults` spec string (`-` when unarmed).
-    pub faults: String,
-    /// The group's runs, sorted by timestamp ascending.
-    pub runs: Vec<HistoryRun>,
-}
-
-/// Scans `dir` for timestamped results documents (`<stem>-<unix>.json`;
-/// the `-latest.json` mirrors are skipped as duplicates) and joins them
-/// into [`HistoryGroup`]s on manifest identity.
-pub fn collect_history(dir: &str) -> Result<Vec<HistoryGroup>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {dir}: {e}"))?;
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|name| name.ends_with(".json") && !name.ends_with("-latest.json"))
-        .collect();
-    names.sort();
-    let mut groups: BTreeMap<(String, String, String, String), Vec<HistoryRun>> = BTreeMap::new();
-    for name in names {
-        // `<stem>-<unix>.json`: the trailing integer is the archival
-        // timestamp `results_path` stamps. Files without one are not
-        // results documents (hand-written JSON, traces, ...) — skip.
-        let Some(stem_ts) = name.strip_suffix(".json") else {
-            continue;
-        };
-        let Some((_, ts)) = stem_ts.rsplit_once('-') else {
-            continue;
-        };
-        let Ok(timestamp) = ts.parse::<u64>() else {
-            continue;
-        };
-        let path = format!("{}/{name}", dir.trim_end_matches('/'));
-        let doc = load(&path)?;
-        let figure = doc
-            .get("figure")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        let manifest_field = |key: &str| -> String {
-            doc.get("manifest")
-                .and_then(|m| m.get(key))
-                .map(|v| match v {
-                    Value::String(s) => s.clone(),
-                    Value::Null => "-".to_owned(),
-                    other => serde_json::to_string(other).unwrap_or_default(),
-                })
-                .unwrap_or_else(|| "-".to_owned())
-        };
-        let key = (
-            figure,
-            manifest_field("config_hash"),
-            manifest_field("seed"),
-            manifest_field("faults"),
-        );
-        groups.entry(key).or_default().push(HistoryRun {
-            timestamp,
-            file: name,
-            metrics: flatten(&doc),
-        });
-    }
-    Ok(groups
-        .into_iter()
-        .map(|((figure, config_hash, seed, faults), mut runs)| {
-            runs.sort_by(|a, b| a.timestamp.cmp(&b.timestamp).then(a.file.cmp(&b.file)));
-            HistoryGroup {
-                figure,
-                config_hash,
-                seed,
-                faults,
-                runs,
-            }
-        })
-        .collect())
-}
-
-/// Direction heuristic for history regression flagging: for most
-/// metrics (MPKI, misses, cycles, wall-clock) a rise is the regression;
-/// for improvement-style metrics (reductions, speedups) a fall is.
-fn history_rise_is_bad(metric: &str) -> bool {
-    let leaf = metric.rsplit('.').next().unwrap_or(metric);
-    !(leaf.contains("reduction") || leaf.contains("speedup") || leaf.contains("improvement"))
-}
-
-/// Renders the per-group trend tables. For each group, the reported
-/// metrics are `wanted` (exact or `.`-suffix matches) or —
-/// when `wanted` is empty — the `top` biggest relative movers between
-/// the group's oldest and newest run. Each metric row shows every run's
-/// value (oldest first), a sparkline, and the latest-vs-previous
-/// movement; movement past `threshold_pct` in the metric's bad
-/// direction is flagged `REG`. Returns the text and whether any metric
-/// was flagged.
-pub fn render_history(
-    groups: &[HistoryGroup],
-    wanted: &[String],
-    top: usize,
-    threshold_pct: f64,
-) -> (String, bool) {
-    let mut out = String::new();
-    let mut regressed = false;
-    for group in groups {
-        let _ = writeln!(
-            out,
-            "\n{}  config={} seed={} faults={}  ({} run{})",
-            group.figure,
-            group.config_hash,
-            group.seed,
-            group.faults,
-            group.runs.len(),
-            if group.runs.len() == 1 { "" } else { "s" },
-        );
-        for run in &group.runs {
-            let _ = writeln!(out, "  {:>12}  {}", run.timestamp, run.file);
-        }
-        // Metrics present in every run of the group: a metric that
-        // appeared or vanished mid-history can't be trended.
-        let mut common: Vec<&String> = group.runs[0].metrics.keys().collect();
-        common.retain(|name| group.runs.iter().all(|r| r.metrics.contains_key(*name)));
-        let mut selected: Vec<String> = if wanted.is_empty() {
-            let (first, last) = (&group.runs[0], &group.runs[group.runs.len() - 1]);
-            let mut movers: Vec<(f64, &String)> = common
-                .iter()
-                .map(|name| {
-                    let (a, b) = (first.metrics[*name], last.metrics[*name]);
-                    let magnitude = if a == 0.0 {
-                        if b == 0.0 {
-                            0.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        ((b - a) / a.abs()).abs()
-                    };
-                    (magnitude, *name)
-                })
-                .filter(|(m, _)| *m > 0.0)
-                .collect();
-            movers.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.cmp(b.1))
-            });
-            movers
-                .into_iter()
-                .take(top)
-                .map(|(_, n)| n.clone())
-                .collect()
-        } else {
-            common
-                .iter()
-                .filter(|name| {
-                    wanted
-                        .iter()
-                        .any(|w| name.as_str() == w || name.ends_with(&format!(".{w}")))
-                })
-                .map(|n| (*n).clone())
-                .collect()
-        };
-        selected.sort();
-        if selected.is_empty() {
-            let _ = writeln!(
-                out,
-                "  (no {} across the group's runs)",
-                if wanted.is_empty() {
-                    "metric moved"
-                } else {
-                    "selected metric exists"
-                }
-            );
-            continue;
-        }
-        for name in &selected {
-            let values: Vec<f64> = group.runs.iter().map(|r| r.metrics[name]).collect();
-            let series: String = values
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            let mut flag = String::new();
-            if values.len() >= 2 {
-                let (prev, last) = (values[values.len() - 2], values[values.len() - 1]);
-                let change_pct = if prev == 0.0 {
-                    if last == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY * (last - prev).signum()
-                    }
-                } else {
-                    (last - prev) / prev.abs() * 100.0
-                };
-                let bad = if history_rise_is_bad(name) {
-                    change_pct > threshold_pct
-                } else {
-                    change_pct < -threshold_pct
-                };
-                let _ = write!(flag, "  {change_pct:+.1}%");
-                if bad {
-                    regressed = true;
-                    flag.push_str("  REG");
-                }
-            }
-            let _ = writeln!(
-                out,
-                "  {:<56} |{}| {}{}",
-                name,
-                sparkline(&values),
-                series,
-                flag
-            );
-        }
-    }
-    (out, regressed)
-}
-
-/// `bf-report history <dir>`: scan a directory of timestamped results
-/// documents, join them on manifest identity, and print per-metric
-/// trend tables with latest-vs-previous regression flagging. Returns
-/// `Ok(true)` — exit 1 — only under `--fail-on-regression`.
-fn run_history(args: &[String]) -> Result<bool, String> {
-    let mut dir = None;
-    let mut metrics: Vec<String> = Vec::new();
-    let mut top = 10usize;
-    let mut threshold_pct = 5.0;
-    let mut fail_on_regression = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--metric" => metrics.push(iter.next().ok_or("--metric needs a name")?.clone()),
-            "--top" => {
-                let n = iter.next().ok_or("--top needs a number")?;
-                top = n.parse().map_err(|_| format!("bad --top '{n}'"))?;
-            }
-            "--threshold" => {
-                let p = iter.next().ok_or("--threshold needs a percentage")?;
-                let p = p.strip_suffix('%').unwrap_or(p);
-                threshold_pct = p.parse().map_err(|_| format!("bad --threshold '{p}'"))?;
-            }
-            "--fail-on-regression" => fail_on_regression = true,
-            other if !other.starts_with("--") && dir.is_none() => dir = Some(other.to_owned()),
-            other => return Err(format!("unknown history argument '{other}'\n{USAGE}")),
-        }
-    }
-    let dir = dir.ok_or_else(|| format!("history mode needs a results directory\n{USAGE}"))?;
-    let groups = collect_history(&dir)?;
-    if groups.is_empty() {
-        println!("no timestamped results documents under {dir}");
-        return Ok(false);
-    }
-    let (text, regressed) = render_history(&groups, &metrics, top, threshold_pct);
-    print!("{text}");
-    if regressed {
-        println!("\nregression(s) flagged (latest vs previous, threshold {threshold_pct}%)");
-    }
-    Ok(regressed && fail_on_regression)
-}
-
 /// The `bf-report` command line: one of the subcommands listed in the
 /// usage text. Returns the process exit code (0 ok, 1 failed
-/// validation or flagged regression, 2 usage/IO error, 3 corrupt trace
-/// — see the usage text). `--help` anywhere prints the usage to stdout and exits
+/// validation, 2 usage/IO error, 3 corrupt trace — see the usage
+/// text). `--help` anywhere prints the usage to stdout and exits
 /// 0; no arguments or an unknown subcommand prints it to stderr and
 /// exits 2.
 pub fn run_cli(args: &[String]) -> i32 {
@@ -1153,20 +875,12 @@ subcommands:
   profile   profile <figure-profile.json> [--top N] [--folded FILE]
             render a <figure>-profile export: hot regions, TLB set
             conflicts, per-container blame, walk-path flamegraph stacks
-  history   history <results-dir> [--metric NAME ...] [--top N]
-            [--threshold P] [--fail-on-regression]
-            scan the directory's timestamped results documents, join
-            them on run-manifest identity (figure x config hash x seed
-            x fault spec), and print per-metric trend tables; flags
-            latest-vs-previous movement past P% (default 5) in the bad
-            direction, and exits 1 on a flag only under
-            --fail-on-regression
 
   -h, --help  print this message
 
 exit codes:
   0  success
-  1  timeline validation failure or flagged history regression
+  1  timeline validation failure
   2  usage or I/O error
   3  corrupt trace (CRC/framing damage; try trace --salvage)";
 
@@ -1185,7 +899,6 @@ fn run(args: &[String]) -> Result<i32, String> {
         "timeline" => run_timeline(&args[1..]).map(exit_flag),
         "trace" => run_trace(&args[1..]),
         "profile" => run_profile(&args[1..]).map(exit_flag),
-        "history" => run_history(&args[1..]).map(exit_flag),
         "diff" => run_diff(&args[1..]).map(|()| 0),
         other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     }
@@ -1261,22 +974,13 @@ mod tests {
     }
 
     #[test]
-    fn manifest_is_invisible_to_diff_and_gates() {
+    fn manifest_is_invisible_to_diff() {
         // Two documents with identical metrics but entirely different
-        // manifests — different identity half AND different volatile
-        // half: diff shows nothing.
-        let manifest = |hash: &str, threads: u64| {
+        // manifests: diff shows nothing.
+        let manifest = |hash: &str, seed: u64| {
             json_object([
                 ("config_hash", Value::String(hash.to_owned())),
-                ("seed", Value::U64(1)),
-                (
-                    "volatile",
-                    json_object([
-                        ("hostname", Value::String(format!("host-{threads}"))),
-                        ("threads", Value::U64(threads)),
-                        ("started_unix", Value::U64(1_786_000_000 + threads)),
-                    ]),
-                ),
+                ("seed", Value::U64(seed)),
             ])
         };
         let base = json_object([
@@ -1502,7 +1206,7 @@ mod tests {
         assert_eq!(run_cli(&["time".to_owned()]), 2);
         assert_eq!(run_cli(&["check".to_owned()]), 2);
         // Every subcommand is in the usage text.
-        for sub in ["timeline", "trace", "diff", "profile", "history"] {
+        for sub in ["timeline", "trace", "diff", "profile"] {
             assert!(USAGE.contains(sub), "usage is missing '{sub}'");
         }
     }

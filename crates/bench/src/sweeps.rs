@@ -206,7 +206,7 @@ pub fn fig10_keep_going_doc(
 }
 
 /// The Fig. 10 rows as `(cell-name, timeline)` pairs in submission
-/// order — the shape [`crate::write_timeline_results`] takes.
+/// order — the shape [`crate::emit_timeline_results`] takes.
 pub fn fig10_timeline_cells(rows: &[Fig10Row]) -> Vec<(String, Option<TimelineSnapshot>)> {
     rows.iter()
         .flat_map(|row| {
@@ -222,7 +222,7 @@ pub fn fig10_timeline_cells(rows: &[Fig10Row]) -> Vec<(String, Option<TimelineSn
 }
 
 /// The Fig. 10 rows as `(cell-name, profile)` pairs in submission
-/// order — the shape [`crate::write_profile_results`] takes.
+/// order — the shape [`crate::emit_profile_results`] takes.
 pub fn fig10_profile_cells(rows: &[Fig10Row]) -> Vec<(String, Option<ProfileSnapshot>)> {
     rows.iter()
         .flat_map(|row| {
@@ -396,7 +396,7 @@ pub fn fig11_data(cfg: &ExperimentConfig, threads: usize, quiet: bool) -> Fig11D
 }
 
 /// The Fig. 11 cells as `(cell-name, timeline)` pairs in submission
-/// order — the shape [`crate::write_timeline_results`] takes.
+/// order — the shape [`crate::emit_timeline_results`] takes.
 pub fn fig11_timeline_cells(data: &Fig11Data) -> Vec<(String, Option<TimelineSnapshot>)> {
     let mut cells = Vec::new();
     for (name, base, bf) in &data.serving {
@@ -415,7 +415,7 @@ pub fn fig11_timeline_cells(data: &Fig11Data) -> Vec<(String, Option<TimelineSna
 }
 
 /// The Fig. 11 cells as `(cell-name, profile)` pairs in submission
-/// order — the shape [`crate::write_profile_results`] takes.
+/// order — the shape [`crate::emit_profile_results`] takes.
 pub fn fig11_profile_cells(data: &Fig11Data) -> Vec<(String, Option<ProfileSnapshot>)> {
     let mut cells = Vec::new();
     for (name, base, bf) in &data.serving {

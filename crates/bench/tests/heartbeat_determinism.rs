@@ -2,7 +2,8 @@
 //! volatile wall-clock fields stripped, the NDJSON emitted by a sweep
 //! is byte-identical regardless of the thread count the run used, and
 //! armed fault injection reports its fault events deterministically.
-//! The stream closes with exactly one `run_end`, after everything else.
+//! The stream closes with exactly one `run_end`, after everything else,
+//! and arming it leaves the results document untouched.
 //! Runs the real figure binaries end to end so
 //! the claim covers the arming, manifest, progress-tick, and
 //! reorder-buffer plumbing exactly as users exercise it.
@@ -21,13 +22,12 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs `<bin> --quick --heartbeat=...` in its own scratch directory
-/// (the results documents land there, not in the repo) and returns the
-/// heartbeat stream with the volatile fields stripped.
-/// `BF_HEARTBEAT_EVERY` is forced low enough that the quick cells emit
-/// in-cell progress snapshots — the part of the stream most exposed to
-/// thread skew.
-fn stripped_stream_of(bin: &str, name: &str, extra: &[&str]) -> Vec<String> {
+/// Runs `<bin> --quick --heartbeat=<dir>/heartbeat.ndjson` in its own
+/// scratch directory (the results documents land there, not in the
+/// repo) and returns that directory. `BF_HEARTBEAT_EVERY` is forced low
+/// enough that the quick cells emit in-cell progress snapshots — the
+/// part of the stream most exposed to thread skew.
+fn run_armed(bin: &str, name: &str, extra: &[&str]) -> PathBuf {
     let dir = temp_dir(name);
     let heartbeat = dir.join("heartbeat.ndjson");
     let out = Command::new(bin)
@@ -45,7 +45,14 @@ fn stripped_stream_of(bin: &str, name: &str, extra: &[&str]) -> Vec<String> {
         "{bin} {extra:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let lines = read_stripped(&heartbeat);
+    dir
+}
+
+/// The heartbeat stream of a [`run_armed`] run, with the volatile
+/// fields stripped.
+fn stripped_stream_of(bin: &str, name: &str, extra: &[&str]) -> Vec<String> {
+    let dir = run_armed(bin, name, extra);
+    let lines = read_stripped(&dir.join("heartbeat.ndjson"));
     std::fs::remove_dir_all(&dir).ok();
     lines
 }
@@ -140,5 +147,37 @@ fn run_end_is_the_last_line_of_a_non_sweep_binary() {
     assert!(
         last.contains("\"event\":\"run_end\""),
         "run_end is not the last line: {last}"
+    );
+}
+
+/// Arming the heartbeat adds nothing to the results document: the
+/// armed run writes exactly one JSON file, and it is the committed
+/// unarmed baseline byte for byte.
+#[test]
+fn armed_run_writes_the_unarmed_document() {
+    let dir = run_armed(
+        env!("CARGO_BIN_EXE_fig10_tlb"),
+        "armed-doc",
+        &["--threads=1"],
+    );
+    let results = dir.join("results");
+    let mut written: Vec<String> = std::fs::read_dir(&results)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", results.display()))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    written.sort();
+    let actual = std::fs::read(results.join("fig10_tlb-latest.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(written, ["fig10_tlb-latest.json"], "one results document");
+    let baseline =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baseline/fig10_tlb-quick.json");
+    let expected =
+        std::fs::read(&baseline).unwrap_or_else(|e| panic!("reading {}: {e}", baseline.display()));
+    let actual = actual.unwrap();
+    assert!(
+        actual == expected,
+        "armed document differs from {}",
+        baseline.display()
     );
 }

@@ -2,18 +2,7 @@
 
 use serde::Serialize;
 use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Builds `dir/<stem>-<unix-seconds>.<ext>`, the naming convention for
-/// benchmark artifacts under `results/`.
-pub fn results_path(dir: impl AsRef<Path>, stem: &str, ext: &str) -> PathBuf {
-    let seconds = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    dir.as_ref().join(format!("{stem}-{seconds}.{ext}"))
-}
+use std::path::Path;
 
 /// Writes `value` as pretty-printed JSON to `path`, creating parent
 /// directories as needed.
@@ -64,15 +53,5 @@ mod tests {
             Some(42)
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn results_path_embeds_stem_and_extension() {
-        let p = results_path("results", "fig10", "json");
-        let name = p.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(
-            name.starts_with("fig10-") && name.ends_with(".json"),
-            "{name}"
-        );
     }
 }

@@ -25,7 +25,7 @@ mod snapshot;
 mod span;
 mod timeline;
 
-pub use export::{results_path, write_json};
+pub use export::write_json;
 pub use invariants::{InvariantMode, InvariantSet, Violation};
 pub use metrics::{Counter, Histogram};
 pub use profiler::{
