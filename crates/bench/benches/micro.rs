@@ -344,7 +344,7 @@ fn bench_telemetry(c: &mut Criterion) {
 
 /// One full quick experiment cell — the unit of work bf-exec schedules.
 /// This is the end-to-end number the data-layout work moves: TLB arena,
-/// pid slab, and hoisted tracing gate all sit on this path.
+/// pid slab, and hoisted instrumentation gate all sit on this path.
 fn bench_quick_cell(c: &mut Criterion) {
     use babelfish::experiment::{run_serving, ExperimentConfig};
     use babelfish::ServingVariant;

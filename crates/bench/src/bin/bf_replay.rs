@@ -19,14 +19,13 @@ use babelfish::replay::{capture_meta, meta_config, replay_file, CaptureFile, Rep
 use babelfish::Mode;
 use bf_bench::{
     header, DEFAULT_HEARTBEAT_EVERY, DEFAULT_HEARTBEAT_FILE, DEFAULT_PROFILE_K,
-    DEFAULT_TIMELINE_EPOCH, DEFAULT_TRACE_SAMPLE,
+    DEFAULT_TIMELINE_EPOCH,
 };
 
 const USAGE: &str = "options:
   --mode=NAME     replay against NAME (baseline, baseline-larger-tlb, babelfish,
                   babelfish-tlb-only, babelfish-pt-only) instead of the captured
                   mode; counters then legitimately diverge from the live run
-  --trace[=N]     span-trace every Nth access during the replay (default N=64)
   --timeline[=N]  seal a telemetry epoch every N accesses and write
                   results/replay-<app>-<mode>-timeline-latest.json (default
                   N=4096); must match the capturing run's setting for
@@ -58,7 +57,6 @@ exit codes:
 struct ReplayArgs {
     trace: String,
     mode: Option<Mode>,
-    trace_sample_every: u64,
     timeline_every: u64,
     profile_top_k: u64,
     recapture: Option<String>,
@@ -70,7 +68,6 @@ struct ReplayArgs {
 fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
     let mut trace: Option<String> = None;
     let mut mode = None;
-    let mut trace_sample_every = 0;
     let mut timeline_every = 0;
     let mut profile_top_k = 0;
     let mut recapture = None;
@@ -78,7 +75,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
     let mut heartbeat: Option<String> = None;
     for arg in args {
         match arg.as_str() {
-            "--trace" => trace_sample_every = DEFAULT_TRACE_SAMPLE,
             "--timeline" => timeline_every = DEFAULT_TIMELINE_EPOCH,
             "--profile" => profile_top_k = DEFAULT_PROFILE_K,
             "--salvage" => salvage = true,
@@ -89,10 +85,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
                     mode = Some(
                         Mode::from_name(name).ok_or_else(|| format!("unknown mode '{name}'"))?,
                     );
-                } else if let Some(n) = arg.strip_prefix("--trace=") {
-                    trace_sample_every = n
-                        .parse()
-                        .map_err(|_| format!("invalid --trace value: {n}"))?;
                 } else if let Some(n) = arg.strip_prefix("--timeline=") {
                     timeline_every = n
                         .parse()
@@ -133,7 +125,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ReplayArgs, String> {
     Ok(ReplayArgs {
         trace: trace.ok_or("a trace file is required")?,
         mode,
-        trace_sample_every,
         timeline_every,
         profile_top_k,
         recapture,
@@ -195,7 +186,6 @@ fn main() {
     });
     let options = ReplayOptions {
         mode: args.mode,
-        trace_sample_every: args.trace_sample_every,
         timeline_every: args.timeline_every,
         timeline_fail_fast: false,
         profile_top_k: args.profile_top_k,

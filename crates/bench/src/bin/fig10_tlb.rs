@@ -95,8 +95,4 @@ fn main() {
     bf_bench::emit_results("fig10_tlb", &doc);
     bf_bench::emit_timeline_results("fig10_tlb", &args.cfg, &fig10_timeline_cells(&rows));
     bf_bench::emit_profile_results("fig10_tlb", &args.cfg, &fig10_profile_cells(&rows));
-
-    if let Some(trace) = bf_bench::write_trace_artifact("fig10_tlb", &args.cfg) {
-        println!("wrote {} (load at ui.perfetto.dev)", trace.display());
-    }
 }

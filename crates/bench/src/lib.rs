@@ -7,8 +7,7 @@
 //! Binaries accept an optional `--quick` flag to run the smoke-test
 //! configuration instead of the full scaled one.
 
-use babelfish::experiment::{run_serving_machine, ExperimentConfig};
-use babelfish::{Mode, ServingVariant};
+use babelfish::experiment::ExperimentConfig;
 use bf_telemetry::{ProfileSnapshot, TimelineSnapshot};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -33,9 +32,6 @@ pub fn reduction_pct(base: f64, new: f64) -> f64 {
     }
 }
 
-/// Default sampling interval for a bare `--trace` flag.
-pub const DEFAULT_TRACE_SAMPLE: u64 = 64;
-
 /// Default epoch interval (accesses) for a bare `--timeline` flag.
 pub const DEFAULT_TIMELINE_EPOCH: u64 = 4096;
 
@@ -53,8 +49,9 @@ pub const DEFAULT_HEARTBEAT_EVERY: u64 = 32768;
 /// once by [`parse_args`].
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
-    /// Experiment size + trace/timeline sampling (`--quick`,
-    /// `--trace[=N]`, `--timeline[=N]`, `--invariants[=MODE]`).
+    /// Experiment size + instrumentation taps (`--quick`,
+    /// `--timeline[=N]`, `--invariants[=MODE]`, `--profile[=K]`,
+    /// `--faults=SPEC`).
     pub cfg: ExperimentConfig,
     /// Worker threads for the cell sweep (`--threads N`, `BF_THREADS`,
     /// or the host's available parallelism).
@@ -100,7 +97,6 @@ impl Drop for FinishOnDrop {
 
 const USAGE: &str = "options:
   --quick             smoke-test configuration instead of the full paper-scaled one
-  --trace[=N]         span-trace every Nth access (default N=64; BF_TRACE=N also works)
   --timeline[=N]      seal a telemetry epoch every N accesses and write
                       results/<figure>-timeline-latest.json (default N=4096;
                       BF_TIMELINE=N also works)
@@ -150,7 +146,6 @@ const USAGE: &str = "options:
 fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut quick = false;
     let mut quiet = false;
-    let mut trace: Option<u64> = None;
     let mut timeline: Option<u64> = None;
     let mut profile: Option<u64> = None;
     let mut fail_fast: Option<bool> = None;
@@ -167,7 +162,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
             "--quiet" => quiet = true,
             "--keep-going" => keep_going = true,
             "--heartbeat" => heartbeat = Some(DEFAULT_HEARTBEAT_FILE.to_owned()),
-            "--trace" => trace = Some(DEFAULT_TRACE_SAMPLE),
             "--timeline" => timeline = Some(DEFAULT_TIMELINE_EPOCH),
             "--profile" => profile = Some(DEFAULT_PROFILE_K),
             "--invariants" => fail_fast = Some(true),
@@ -183,12 +177,7 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
             }
             "-h" | "--help" => return Err(String::new()),
             _ => {
-                if let Some(n) = arg.strip_prefix("--trace=") {
-                    trace = Some(
-                        n.parse()
-                            .map_err(|_| format!("invalid --trace value: {n}"))?,
-                    );
-                } else if let Some(n) = arg.strip_prefix("--timeline=") {
+                if let Some(n) = arg.strip_prefix("--timeline=") {
                     timeline = Some(
                         n.parse()
                             .map_err(|_| format!("invalid --timeline value: {n}"))?,
@@ -238,7 +227,6 @@ fn parse(args: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
         ExperimentConfig::paper_scaled()
     };
     let env_u64 = |name: &str| std::env::var(name).ok().and_then(|v| v.parse().ok());
-    cfg.trace_sample_every = trace.unwrap_or_else(|| env_u64("BF_TRACE").unwrap_or(0));
     cfg.timeline_every = timeline.unwrap_or_else(|| {
         // --invariants alone turns the timeline on (invariants only run
         // at epoch boundaries).
@@ -621,22 +609,6 @@ pub fn profile_doc(
     ])
 }
 
-/// Runs one traced BabelFish data-serving window and writes its Chrome
-/// trace-event JSON to `results/trace-<name>.json` (load it at
-/// `ui.perfetto.dev` or `chrome://tracing`). Returns `None` when tracing
-/// is off (`cfg.trace_sample_every == 0`).
-pub fn write_trace_artifact(name: &str, cfg: &ExperimentConfig) -> Option<PathBuf> {
-    if cfg.trace_sample_every == 0 {
-        return None;
-    }
-    let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, cfg);
-    let path = Path::new("results").join(format!("trace-{name}.json"));
-    if let Err(e) = machine.spans().write_chrome_trace(&path) {
-        exit_write_error(named_io_error(&path, e));
-    }
-    Some(path)
-}
-
 /// Shared argument contract for binaries that take no options: `-h` /
 /// `--help` prints `usage` and exits 0; anything else is rejected with
 /// exit 2. Keeps the zero-option bins on the same help/unknown-flag
@@ -707,16 +679,14 @@ mod tests {
 
     #[test]
     fn quick_trace_and_threads_parse_in_one_pass() {
-        let args = parse_ok(&["--quick", "--trace=16", "--threads", "4"]);
+        let args = parse_ok(&["--quick", "--threads", "4"]);
         assert_eq!(
             args.cfg.measure_instructions,
             babelfish::experiment::ExperimentConfig::smoke_test().measure_instructions
         );
-        assert_eq!(args.cfg.trace_sample_every, 16);
         assert_eq!(args.threads, 4);
-        let args = parse_ok(&["--threads=2", "--trace"]);
+        let args = parse_ok(&["--threads=2"]);
         assert_eq!(args.threads, 2);
-        assert_eq!(args.cfg.trace_sample_every, DEFAULT_TRACE_SAMPLE);
     }
 
     #[test]
@@ -725,7 +695,7 @@ mod tests {
         assert!(parse(["extra".to_string()].into_iter()).is_err());
         assert!(parse(["--threads".to_string()].into_iter()).is_err());
         assert!(parse(["--threads".to_string(), "x".to_string()].into_iter()).is_err());
-        assert!(parse(["--trace=abc".to_string()].into_iter()).is_err());
+        assert!(parse(["--trace".to_string()].into_iter()).is_err());
         assert!(parse(["--timeline=abc".to_string()].into_iter()).is_err());
         assert!(parse(["--invariants=explode".to_string()].into_iter()).is_err());
         assert!(parse(["--quiet=1".to_string()].into_iter()).is_err());

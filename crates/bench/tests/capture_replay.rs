@@ -16,10 +16,27 @@ fn quick() -> ExperimentConfig {
     cfg
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("bf-capture-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A scratch trace under the system temp dir, named per process and
+/// removed on drop, so a test that panics leaves nothing behind.
+struct TempTrace(std::path::PathBuf);
+
+impl TempTrace {
+    fn new(name: &str) -> Self {
+        let file = format!("bf-capture-e2e-{}-{name}", std::process::id());
+        TempTrace(std::env::temp_dir().join(file))
+    }
+}
+
+impl AsRef<std::path::Path> for TempTrace {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
 }
 
 #[test]
@@ -30,7 +47,7 @@ fn live_and_replayed_results_documents_are_byte_identical() {
     cfg.timeline_every = 2048;
     let app = CaptureApp::from_name("mongodb").unwrap();
     let mode = Mode::babelfish();
-    let trace = temp_path("fig10-e2e.bft");
+    let trace = TempTrace::new("fig10-e2e.bft");
 
     let live = capture_to_file(mode, app, &cfg, &trace).expect("live capture");
     let outcome = replay_file(
@@ -59,8 +76,6 @@ fn live_and_replayed_results_documents_are_byte_identical() {
         live_doc.contains("\"timeline\":{"),
         "the equivalence must cover a real timeline export, got {live_doc}"
     );
-
-    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
@@ -72,7 +87,7 @@ fn live_and_replayed_profiles_are_byte_identical() {
     cfg.profile_top_k = 32;
     let app = CaptureApp::from_name("mongodb").unwrap();
     let mode = Mode::babelfish();
-    let trace = temp_path("fig10-profile-e2e.bft");
+    let trace = TempTrace::new("fig10-profile-e2e.bft");
 
     let live = capture_to_file(mode, app, &cfg, &trace).expect("live capture");
     let outcome = replay_file(
@@ -108,8 +123,6 @@ fn live_and_replayed_profiles_are_byte_identical() {
         live_doc.contains("\"miss_regions\":[{"),
         "expected monitored hot regions in {live_doc}"
     );
-
-    std::fs::remove_file(&trace).ok();
 }
 
 #[test]
@@ -117,8 +130,8 @@ fn recapturing_a_replay_reproduces_the_trace_byte_for_byte() {
     let cfg = quick();
     let app = CaptureApp::from_name("fio").unwrap();
     let mode = Mode::babelfish();
-    let first = temp_path("roundtrip-1.bft");
-    let second = temp_path("roundtrip-2.bft");
+    let first = TempTrace::new("roundtrip-1.bft");
+    let second = TempTrace::new("roundtrip-2.bft");
 
     capture_to_file(mode, app, &cfg, &first).expect("live capture");
 
@@ -149,7 +162,4 @@ fn recapturing_a_replay_reproduces_the_trace_byte_for_byte() {
         a.len(),
         b.len()
     );
-
-    std::fs::remove_file(&first).ok();
-    std::fs::remove_file(&second).ok();
 }

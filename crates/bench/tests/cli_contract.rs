@@ -1,9 +1,10 @@
 //! The shared command-line contract, pinned across every binary in the
 //! crate: `--help` (and `-h`) exits 0 and prints a usage text on
 //! stdout; an unknown flag exits 2 and names the offender on stderr.
-//! The removed `--batch` and `--replay` options count as unknown:
-//! a bin that silently ignored one would run a different experiment
-//! than the caller asked for (replay a trace with `bf_replay`).
+//! The removed `--batch`, `--replay` and `--trace` options count as
+//! unknown: a bin that silently ignored one would run a different
+//! experiment than the caller asked for (replay a trace with
+//! `bf_replay`).
 //! One table drives all bins so a new binary that forgets the contract
 //! fails here, not in someone's CI script.
 
@@ -66,6 +67,8 @@ fn every_bin_exits_two_on_unknown_flags() {
             "--batch",
             "--batch=64",
             "--replay=x.bft",
+            "--trace",
+            "--trace=64",
         ] {
             let out = Command::new(exe)
                 .arg(flag)

@@ -172,7 +172,6 @@ pub struct CacheHierarchy {
     l3: SetAssocCache,
     dram: Dram,
     telem: HierarchyTelemetry,
-    spans: bf_telemetry::SpanTracer,
 }
 
 impl CacheHierarchy {
@@ -197,7 +196,6 @@ impl CacheHierarchy {
             dram: Dram::new(config.dram),
             config,
             telem: HierarchyTelemetry::default(),
-            spans: bf_telemetry::SpanTracer::new(),
         }
     }
 
@@ -211,7 +209,6 @@ impl CacheHierarchy {
     /// …).
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telem = HierarchyTelemetry::from_registry(registry);
-        self.spans = registry.spans();
     }
 
     /// Serves one access and returns its latency in CPU cycles.
@@ -270,7 +267,6 @@ impl CacheHierarchy {
                     &self.telem.l1d_hits
                 };
                 hits.incr();
-                self.spans.instant("cache.l1.hit", &[]);
                 return (latency, ServedBy::L1);
             }
             let misses = if is_fetch {
@@ -290,7 +286,6 @@ impl CacheHierarchy {
             } else {
                 self.fill_l1(c, kind, line);
             }
-            self.spans.instant("cache.l2.hit", &[]);
             return (latency, ServedBy::L2);
         }
         self.telem.l2_misses.incr();
@@ -305,7 +300,6 @@ impl CacheHierarchy {
             } else {
                 self.fill_l1(c, kind, line);
             }
-            self.spans.instant("cache.l3.hit", &[]);
             return (latency, ServedBy::L3);
         }
         self.telem.l3_misses.incr();
@@ -320,7 +314,6 @@ impl CacheHierarchy {
         } else {
             self.fill_l1(c, kind, line);
         }
-        self.spans.instant("cache.dram", &[]);
         (latency, ServedBy::Dram)
     }
 

@@ -74,7 +74,6 @@ pub struct PageWalkCache {
     set_mask: u64,
     telem_hits: Counter,
     telem_misses: Counter,
-    spans: bf_telemetry::SpanTracer,
 }
 
 impl PageWalkCache {
@@ -104,7 +103,6 @@ impl PageWalkCache {
             set_mask: sets as u64 - 1,
             telem_hits: Counter::new(),
             telem_misses: Counter::new(),
-            spans: bf_telemetry::SpanTracer::new(),
         }
     }
 
@@ -119,7 +117,6 @@ impl PageWalkCache {
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telem_hits = registry.counter("pwc.hits");
         self.telem_misses = registry.counter("pwc.misses");
-        self.spans = registry.spans();
     }
 
     /// Looks up the entry at `entry_addr` for `level`, refreshing LRU
@@ -132,13 +129,10 @@ impl PageWalkCache {
     pub fn probe(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
         let key = entry_addr.raw() / 8;
         let hit = touch(self.set_mut(level, key), key);
-        let depth = level.depth() as u64;
         if hit {
             self.telem_hits.incr();
-            self.spans.instant("pwc.hit", &[("level", depth)]);
         } else {
             self.telem_misses.incr();
-            self.spans.instant("pwc.miss", &[("level", depth)]);
         }
         hit
     }

@@ -131,7 +131,10 @@ pub struct ExperimentConfig {
     /// requires scaling the quantum too, or co-located containers never
     /// interleave at all within the measurement.
     pub quantum_cycles: u64,
-    /// Span-trace every Nth memory access (0 disables span tracing).
+    /// Ignored: the simulator has no span tracer. Kept, and still
+    /// serialized, only because the `perf/` benchmark names it and every
+    /// committed `config` block and `config_hash` includes it; a
+    /// benchmark change may drop it.
     pub trace_sample_every: u64,
     /// Seal a telemetry timeline epoch every N memory accesses (0
     /// disables timelines).
@@ -415,7 +418,6 @@ impl FunctionsResult {
 fn sim_config(mode: Mode, cfg: &ExperimentConfig, thp: bool) -> SimConfig {
     let mut sim = SimConfig::new(cfg.cores, mode)
         .with_frames(cfg.frames)
-        .with_trace_sampling(cfg.trace_sample_every)
         .with_timeline(cfg.timeline_every, cfg.timeline_fail_fast)
         .with_profile(cfg.profile_top_k)
         .with_heartbeat(cfg.heartbeat_every);

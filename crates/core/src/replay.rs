@@ -119,7 +119,7 @@ impl std::fmt::Debug for CaptureFile {
 
 /// Builds the trace header for a run of `app` under `mode` with `cfg`:
 /// everything [`replay_trace`] needs to rebuild an identical machine.
-/// Instrumentation knobs (span tracing, timelines) are deliberately
+/// Instrumentation knobs (timelines, profiling) are deliberately
 /// *not* recorded — they don't shape the access stream, and replay
 /// chooses its own.
 pub fn capture_meta(mode: Mode, app: CaptureApp, cfg: &ExperimentConfig) -> TraceMeta {
@@ -196,8 +196,6 @@ pub struct ReplayOptions {
     /// cross-configuration use case). Counters then legitimately
     /// diverge from the live run.
     pub mode: Option<Mode>,
-    /// Span-trace every Nth access during replay (0 = off).
-    pub trace_sample_every: u64,
     /// Seal a timeline epoch every N accesses during replay (0 = off).
     /// Must match the live run's setting for timeline-identical output.
     pub timeline_every: u64,
@@ -267,7 +265,6 @@ fn replay_records(
 ) -> std::io::Result<ReplayOutcome> {
     let (header_mode, app, mut cfg) = meta_config(meta).map_err(std::io::Error::other)?;
     let mode = options.mode.unwrap_or(header_mode);
-    cfg.trace_sample_every = options.trace_sample_every;
     cfg.timeline_every = options.timeline_every;
     cfg.timeline_fail_fast = options.timeline_fail_fast;
     cfg.profile_top_k = options.profile_top_k;
@@ -372,6 +369,29 @@ mod tests {
         cfg
     }
 
+    /// A scratch trace under the system temp dir, named per process and
+    /// removed on drop, so a test that panics leaves nothing behind.
+    struct TempTrace(std::path::PathBuf);
+
+    impl TempTrace {
+        fn new(name: &str) -> Self {
+            let file = format!("bf-capture-test-{}-{name}.bft", std::process::id());
+            TempTrace(std::env::temp_dir().join(file))
+        }
+    }
+
+    impl AsRef<Path> for TempTrace {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempTrace {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
     #[test]
     fn meta_roundtrips_config() {
         let cfg = tiny();
@@ -390,9 +410,7 @@ mod tests {
     fn capture_then_replay_matches_live_exactly() {
         let cfg = tiny();
         let app = CaptureApp::Serving(bf_workloads::ServingVariant::MongoDb);
-        let dir = std::env::temp_dir().join("bf-capture-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("replay-{}.bft", std::process::id()));
+        let path = TempTrace::new("replay");
 
         let live = capture_to_file(Mode::babelfish(), app, &cfg, &path).unwrap();
         let replayed = replay_file(&path, ReplayOptions::default()).unwrap();
@@ -406,7 +424,6 @@ mod tests {
             format!("{:?}", replayed.result.stats)
         );
         assert_eq!(live.telemetry, replayed.result.telemetry);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -414,9 +431,7 @@ mod tests {
         let mut cfg = tiny();
         cfg.faults = Some(bf_sim::FaultPlan::parse("trace-corrupt@block=1").unwrap());
         let app = CaptureApp::Serving(bf_workloads::ServingVariant::MongoDb);
-        let dir = std::env::temp_dir().join("bf-capture-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("salvage-{}.bft", std::process::id()));
+        let path = TempTrace::new("salvage");
 
         capture_to_file(Mode::babelfish(), app, &cfg, &path).unwrap();
 
@@ -438,16 +453,13 @@ mod tests {
         assert!(report.exact, "a bad-CRC block has an exact loss count");
         assert!(report.records_lost > 0);
         assert!(outcome.records_replayed > 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn clean_salvage_replay_matches_strict_replay_exactly() {
         let cfg = tiny();
         let app = CaptureApp::Compute(crate::experiment::ComputeKind::Fio);
-        let dir = std::env::temp_dir().join("bf-capture-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("salvage-clean-{}.bft", std::process::id()));
+        let path = TempTrace::new("salvage-clean");
 
         capture_to_file(Mode::babelfish(), app, &cfg, &path).unwrap();
         let strict = replay_file(&path, ReplayOptions::default()).unwrap();
@@ -466,16 +478,13 @@ mod tests {
         assert_eq!(report.records_lost, 0);
         assert_eq!(report.blocks_skipped, 0);
         assert!(report.exact);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn replay_against_other_mode_runs() {
         let cfg = tiny();
         let app = CaptureApp::Compute(crate::experiment::ComputeKind::Fio);
-        let dir = std::env::temp_dir().join("bf-capture-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("xmode-{}.bft", std::process::id()));
+        let path = TempTrace::new("xmode");
 
         capture_to_file(Mode::babelfish(), app, &cfg, &path).unwrap();
         let outcome = replay_file(
@@ -491,6 +500,5 @@ mod tests {
             outcome.result.stats.tlb.l2.data_shared_hits, 0,
             "baseline replay of the same stream shares nothing"
         );
-        std::fs::remove_file(&path).ok();
     }
 }

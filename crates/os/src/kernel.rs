@@ -329,8 +329,6 @@ struct KernelTelemetry {
     /// Shared with every MaskPage (same cell as the table store's
     /// `pgtable.maskpage_cow_marks`).
     cow_marks: Counter,
-    /// Span tracer for fault/CoW/MaskPage events on sampled accesses.
-    spans: bf_telemetry::SpanTracer,
 }
 
 impl KernelTelemetry {
@@ -343,7 +341,6 @@ impl KernelTelemetry {
             spurious_cycles: registry.histogram("os.fault.spurious_cycles"),
             fork_cycles: registry.histogram("os.fork.cycles"),
             cow_marks: registry.counter("pgtable.maskpage_cow_marks"),
-            spans: registry.spans(),
         }
     }
 
@@ -798,18 +795,6 @@ impl Kernel {
         self.telem
             .fault_cycles(resolution.kind)
             .record(resolution.cost);
-        // Retrospective span: the cost is only known now, so emit a
-        // complete begin/end pair covering the kernel time.
-        let span_name = match resolution.kind {
-            FaultKind::Minor => "os.fault.minor",
-            FaultKind::Major => "os.fault.major",
-            FaultKind::Cow => "os.fault.cow",
-            FaultKind::SharedResolved => "os.fault.shared_resolved",
-            FaultKind::Spurious => "os.fault.spurious",
-        };
-        self.telem
-            .spans
-            .span(span_name, resolution.cost, &[("va", va.raw())]);
         Ok(resolution)
     }
 
@@ -1189,9 +1174,6 @@ impl Kernel {
             let base = va.align_down(PageSize::Size2M);
             proc.space
                 .write_leaf(&mut self.store, base, size, EntryValue::new(run, flags));
-            self.telem
-                .spans
-                .instant("os.cow.thp_copy", &[("va", va.raw())]);
             return Ok(FaultResolution {
                 kind: FaultKind::Cow,
                 cost: self.config.cow_fault_cycles + self.config.thp_cow_copy_cycles,
@@ -1233,9 +1215,6 @@ impl Kernel {
         // Allocate the private copy of the written page and redirect the
         // (now private) leaf.
         let copy = self.store.frames.alloc().ok_or(FaultError::OutOfMemory)?;
-        self.telem
-            .spans
-            .instant("os.cow.private_copy", &[("va", va.raw())]);
         let mut flags = leaf.flags.without(PageFlags::COW) | PageFlags::WRITE | PageFlags::PRESENT;
         if owned {
             flags |= PageFlags::OWNED;
@@ -1292,13 +1271,7 @@ impl Kernel {
                 return self.revert_region(key, va);
             }
             match maskpage.assign_bit(pid) {
-                Ok(bit) => {
-                    maskpage.set_bit(va.pmd_index(), bit);
-                    self.telem.spans.instant(
-                        "os.maskpage.mark",
-                        &[("bit", bit as u64), ("pmd", va.pmd_index() as u64)],
-                    );
-                }
+                Ok(bit) => maskpage.set_bit(va.pmd_index(), bit),
                 Err(_) => {
                     self.stats.maskpage_overflows += 1;
                     self.overflowed.insert(gb);

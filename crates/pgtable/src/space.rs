@@ -189,10 +189,6 @@ impl AddressSpace {
         }
         store.telemetry().walks.incr();
         store.telemetry().walk_depth.record(walk.len as u64);
-        store
-            .telemetry()
-            .spans
-            .instant("pgtable.walk", &[("levels", walk.len as u64)]);
         walk
     }
 

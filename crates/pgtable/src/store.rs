@@ -122,17 +122,6 @@ impl TableStore {
         self.sharers(table) > 1
     }
 
-    /// Total references held on tables that are actually shared
-    /// (sharer count > 1) — the machine samples this into the
-    /// `pgtable.shared_refs` counter track.
-    pub fn shared_refs(&self) -> u64 {
-        self.sharers
-            .values()
-            .filter(|&&count| count > 1)
-            .map(|&count| count as u64)
-            .sum()
-    }
-
     /// Reads the decoded entry at `index` of `table`.
     pub fn read(&self, table: Ppn, index: usize) -> EntryValue {
         EntryValue::decode(self.mem.read_entry(table, index))

@@ -6,7 +6,7 @@
 //! [`AddressSpace::walk`](crate::AddressSpace::walk), which only sees
 //! `&TableStore`, can record through the shared `&self` handles.
 
-use bf_telemetry::{Counter, Histogram, Registry, SpanTracer};
+use bf_telemetry::{Counter, Histogram, Registry};
 
 /// Recording handles for page-table events. Default handles are
 /// detached (registry-less); [`PgtableTelemetry::attach`] routes them
@@ -24,8 +24,6 @@ pub struct PgtableTelemetry {
     /// PC-bitmask bits set — one per MaskPage CoW privatisation event
     /// (`pgtable.maskpage_cow_marks`).
     pub cow_marks: Counter,
-    /// Span tracer for per-walk instants on sampled accesses.
-    pub spans: SpanTracer,
 }
 
 impl PgtableTelemetry {
@@ -37,7 +35,6 @@ impl PgtableTelemetry {
             tables_allocated: registry.counter("pgtable.tables_allocated"),
             tables_freed: registry.counter("pgtable.tables_freed"),
             cow_marks: registry.counter("pgtable.maskpage_cow_marks"),
-            spans: registry.spans(),
         }
     }
 }

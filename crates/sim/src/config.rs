@@ -211,8 +211,6 @@ pub struct SimConfig {
     pub memory_overlap: f64,
     /// Kernel cost-model overrides (derived from `mode` by default).
     pub kernel: KernelConfig,
-    /// Span-trace every Nth memory access (0 disables span tracing).
-    pub trace_sample_every: u64,
     /// Seal a telemetry timeline epoch every N memory accesses (0
     /// disables the timeline; see [`bf_telemetry::Timeline`]).
     pub timeline_every: u64,
@@ -242,7 +240,6 @@ impl SimConfig {
             aslr_transform_cycles: 2,
             memory_overlap: 0.6,
             kernel: mode.kernel_config(),
-            trace_sample_every: 0,
             timeline_every: 0,
             timeline_fail_fast: false,
             profile_top_k: 0,
@@ -263,9 +260,10 @@ impl SimConfig {
         self
     }
 
-    /// Enables span tracing of every `every`-th memory access (0 = off).
-    pub fn with_trace_sampling(mut self, every: u64) -> Self {
-        self.trace_sample_every = every;
+    /// Ignored: the machine has no span tracer. Kept only because the
+    /// `perf/` benchmark calls it; a benchmark change may drop it.
+    #[doc(hidden)]
+    pub fn with_trace_sampling(self, _every: u64) -> Self {
         self
     }
 

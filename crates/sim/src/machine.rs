@@ -10,8 +10,7 @@ use bf_os::{Invalidation, Kernel, SchedDecision, Scheduler};
 use bf_pgtable::WalkResult;
 use bf_telemetry::{
     path_push, path_src, Counter, Histogram, InvariantMode, InvariantSet, PathSig, ProfileSnapshot,
-    Profiler, Registry, SetCounts, Snapshot, SpanTracer, SpanTrack, Timeline, TimelineSnapshot,
-    DEFAULT_TIMELINE_CAPACITY,
+    Profiler, Registry, SetCounts, Snapshot, Timeline, TimelineSnapshot, DEFAULT_TIMELINE_CAPACITY,
 };
 use bf_tlb::group::TlbAccess;
 use bf_tlb::{InjectedFlip, LookupResult, TlbFill, TlbGroup};
@@ -149,19 +148,10 @@ pub struct Machine {
     breakdown: TranslationBreakdown,
     registry: Registry,
     telem: SimTelemetry,
-    /// The registry's span tracer; the machine owns the clock, so it
-    /// runs the sampling gate and advances the trace cursor as each
-    /// pipeline stage of a sampled access completes.
-    spans: SpanTracer,
-    /// Hoisted span-sampling gate: true only when span tracing can ever
-    /// fire (`trace_sample_every > 0`). Every span call in the access
-    /// pipeline sits behind this one predictable branch, so the
-    /// tracing-off hot path does no per-stage work.
-    tracing: bool,
-    /// Hoisted instrumentation gate: `tracing || timeline.is_some()`.
-    /// The single end-of-access branch in `execute_access` tests this
-    /// flag, so the fully-off hot path keeps exactly the branch count it
-    /// had before timelines existed.
+    /// Hoisted gate of the end-of-access tail (`epoch_tick`,
+    /// `progress_tick`): true when either tap is armed. The single
+    /// end-of-access branch in `execute_access` tests this flag.
+    /// Profiling records inline on the miss and walk paths instead.
     instrumented: bool,
     /// Epoch timeline + invariant checking (None unless
     /// [`SimConfig::timeline_every`] is set).
@@ -177,7 +167,7 @@ pub struct Machine {
     capture: Option<Box<dyn CaptureSink>>,
     /// Fault-injection engine (None until [`Machine::arm_faults`]).
     faults: Option<Box<FaultEngine>>,
-    /// Hoisted fault gate, mirroring `tracing`/`instrumented`: the
+    /// Hoisted fault gate, mirroring `instrumented`: the
     /// unarmed miss path pays one predictable branch and the hit path
     /// pays nothing.
     fault_armed: bool,
@@ -218,11 +208,6 @@ impl Machine {
     /// routed into one fresh [`Registry`].
     pub fn new(config: SimConfig) -> Self {
         let registry = Registry::new();
-        let spans = registry.spans();
-        let tracing = config.trace_sample_every > 0;
-        if tracing {
-            spans.set_sampling(config.trace_sample_every);
-        }
         let profiling = config.profile_top_k > 0;
         let progress_on = config.heartbeat_every > 0 && bf_telemetry::heartbeat::armed();
         let cores = (0..config.cores)
@@ -254,7 +239,7 @@ impl Machine {
             } else {
                 InvariantMode::Record
             };
-            let mut invariants = InvariantSet::with_builtins(mode);
+            let mut invariants = InvariantSet::new(mode);
             bf_tlb::register_invariants(&mut invariants);
             bf_cache::register_invariants(&mut invariants);
             bf_os::register_invariants(&mut invariants);
@@ -265,6 +250,13 @@ impl Machine {
                     registry.snapshot(),
                 ),
                 invariants,
+            })
+        });
+        let progress = progress_on.then(|| {
+            Box::new(ProgressState {
+                every: config.heartbeat_every,
+                accesses: 0,
+                next: config.heartbeat_every,
             })
         });
         Machine {
@@ -280,22 +272,14 @@ impl Machine {
             latency: LatencyStats::default(),
             breakdown: TranslationBreakdown::default(),
             telem: SimTelemetry::attach(&registry),
-            spans,
-            tracing,
-            instrumented: tracing || timeline.is_some() || profiling || progress_on,
+            instrumented: timeline.is_some() || progress.is_some(),
             timeline,
             profiler: profiling.then(|| Box::new(Profiler::new(config.profile_top_k as usize))),
             capture: None,
             faults: None,
             fault_armed: false,
             telemetry_baseline: registry.snapshot(),
-            progress: progress_on.then(|| {
-                Box::new(ProgressState {
-                    every: config.heartbeat_every,
-                    accesses: 0,
-                    next: config.heartbeat_every,
-                })
-            }),
+            progress,
             registry,
             config,
         }
@@ -304,12 +288,6 @@ impl Machine {
     /// The machine-wide telemetry registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The machine-wide span tracer (empty unless
-    /// [`SimConfig::trace_sample_every`] is non-zero).
-    pub fn spans(&self) -> SpanTracer {
-        self.registry.spans()
     }
 
     /// Telemetry snapshot of the current measurement window: counter and
@@ -811,9 +789,6 @@ impl Machine {
         // Hoisted instrumentation gate: the fully-off hot path pays only
         // this single end-of-access branch.
         if self.instrumented {
-            if self.tracing {
-                self.trace_access_tail(core_index);
-            }
             self.epoch_tick(core_index);
             self.progress_tick();
         }
@@ -840,39 +815,16 @@ impl Machine {
     /// L1 TLB → L2 TLB → CoW-hit fault handling → the page-walk/fault
     /// convergence loop → the data access through the cache hierarchy.
     /// Advances the core clock and returns the access latency. Does
-    /// *not* run the end-of-access instrumentation tail (span close-out,
-    /// epoch tick); [`Machine::execute_access`] owns that.
+    /// *not* run the end-of-access instrumentation tail (epoch and
+    /// progress ticks); [`Machine::execute_access`] owns that.
     fn execute_access_inner(&mut self, core_index: usize, access: &TlbAccess) -> Cycles {
         let mut cycles: Cycles = 0;
         let is_write = access.kind.is_write();
-
-        // Hoisted sampling gate: `tracing` is false unless span tracing
-        // was configured, so the off path takes one predictable branch
-        // per stage instead of calling into the tracer. When on,
-        // `sample_access` latches whether *this* access is traced and
-        // every call below no-ops for unsampled accesses.
-        let tracing = self.tracing;
-        let clock_base = self.cores[core_index].clock;
-        if tracing {
-            self.spans.sample_access(
-                SpanTrack::new(access.ccid.raw() as u32, access.pid.raw()),
-                clock_base,
-            );
-            self.spans.begin(
-                "access",
-                &[("va", access.va.raw()), ("write", is_write as u64)],
-            );
-            self.spans.begin("tlb.l1", &[]);
-        }
 
         // --- L1 TLB ---
         let (l1_result, l1_cycles) = self.cores[core_index].tlbs.lookup_l1(access);
         cycles += l1_cycles;
         self.breakdown.tlb_cycles += l1_cycles;
-        if tracing {
-            self.spans.set_now(clock_base + cycles);
-            self.spans.end();
-        }
 
         let mut translated: Option<(bf_types::Ppn, PageSize)> = None;
         let mut faulted_cow_hit = false;
@@ -887,20 +839,10 @@ impl Machine {
             if self.config.mode.aslr_transformation() {
                 cycles += self.config.aslr_transform_cycles;
                 self.breakdown.tlb_cycles += self.config.aslr_transform_cycles;
-                if tracing {
-                    self.spans.set_now(clock_base + cycles);
-                }
-            }
-            if tracing {
-                self.spans.begin("tlb.l2", &[]);
             }
             let (l2_result, l2_cycles) = self.cores[core_index].tlbs.lookup_l2(access);
             cycles += l2_cycles;
             self.breakdown.tlb_cycles += l2_cycles;
-            if tracing {
-                self.spans.set_now(clock_base + cycles);
-                self.spans.end();
-            }
             match l2_result {
                 LookupResult::Hit(hit) => {
                     // Refill the L1 from the L2 entry.
@@ -924,17 +866,12 @@ impl Machine {
                 cycles += backoff;
                 self.breakdown.fault_cycles += backoff;
             }
-            // The kernel emits its own retrospective fault span starting
-            // at the current trace cursor.
             let resolution = self
                 .kernel
                 .handle_fault(pid, va, is_write)
                 .expect("CoW fault resolution failed");
             cycles += resolution.cost;
             self.breakdown.fault_cycles += resolution.cost;
-            if tracing {
-                self.spans.set_now(clock_base + cycles);
-            }
             self.apply_invalidations(&resolution.invalidations);
         }
 
@@ -953,9 +890,6 @@ impl Machine {
                     attempts <= 4,
                     "fault loop did not converge at {va} for {pid}"
                 );
-                if tracing {
-                    self.spans.begin("walk", &[("attempt", attempts)]);
-                }
                 let (mut walk_cycles, walk, path) = self.hardware_walk(core_index, access);
                 if self.fault_armed {
                     // Transient walk stall: detected by the walker's
@@ -976,10 +910,6 @@ impl Machine {
                 cycles += walk_cycles;
                 self.breakdown.walk_cycles += walk_cycles;
                 self.telem.walks.incr();
-                if tracing {
-                    self.spans.set_now(clock_base + cycles);
-                    self.spans.end();
-                }
 
                 let leaf = walk.leaf();
                 let cow_write = leaf
@@ -1015,9 +945,6 @@ impl Machine {
                     .unwrap_or_else(|e| panic!("unresolvable fault at {va} for {pid}: {e}"));
                 cycles += resolution.cost;
                 self.breakdown.fault_cycles += resolution.cost;
-                if tracing {
-                    self.spans.set_now(clock_base + cycles);
-                }
                 self.apply_invalidations(&resolution.invalidations);
             }
         }
@@ -1026,9 +953,6 @@ impl Machine {
         let (ppn, size) = translated.expect("translation must have succeeded");
         let paddr = ppn.base_addr().offset(va.page_offset(size));
         let now = self.cores[core_index].clock + cycles;
-        if tracing {
-            self.spans.begin("mem", &[]);
-        }
         let raw_mem = self
             .hierarchy
             .access(core_id, paddr, kind, AccessOrigin::Core, now);
@@ -1043,45 +967,12 @@ impl Machine {
         cycles
     }
 
-    /// Closes out the span tree of a traced access ("mem", then
-    /// "access") and samples the machine-level counter tracks. Only
-    /// meaningful right after [`Machine::execute_access_inner`] on the
-    /// tracing path; the core clock already sits at the access's end
-    /// cycle.
-    fn trace_access_tail(&mut self, core_index: usize) {
-        self.spans.set_now(self.cores[core_index].clock);
-        self.spans.end();
-        self.spans.end(); // closes "access"
-
-        // Counter tracks, sampled once per traced access. The guard
-        // skips the occupancy walks entirely for unsampled accesses.
-        if self.spans.is_active() {
-            let track = SpanTrack::machine(core_index as u32);
-            self.spans.counter(
-                track,
-                "tlb.occupancy",
-                self.cores[core_index].tlbs.resident_entries() as u64,
-            );
-            self.spans.counter(
-                track,
-                "pgtable.live_tables",
-                self.kernel.store().live_tables(),
-            );
-            self.spans.counter(
-                track,
-                "pgtable.shared_refs",
-                self.kernel.store().shared_refs(),
-            );
-        }
-        self.spans.finish_access();
-    }
-
     /// Counts one access against the timeline and, at epoch boundaries,
     /// seals the epoch and runs the invariant set. Off the hot path: the
     /// caller only reaches here when instrumentation is on.
     fn epoch_tick(&mut self, core_index: usize) {
         let Some(mut state) = self.timeline.take() else {
-            return; // span tracing on, timeline off
+            return; // heartbeat progress on, timeline off
         };
         if state.timeline.record_access() {
             if self.fault_armed {
@@ -1211,24 +1102,9 @@ impl Machine {
         let mut path: PathSig = 0;
         let steps = walk.steps();
         let last = steps.len().saturating_sub(1);
-        let tracing = self.tracing;
-        // Trace cursor at walk entry; each step span ends at its own
-        // cumulative offset from here.
-        let trace_base = if tracing { self.spans.now() } else { 0 };
 
         for (i, step) in steps.iter().enumerate() {
             let is_final = i == last;
-            if tracing {
-                self.spans.begin(
-                    match step.level {
-                        PageTableLevel::Pgd => "walk.pgd",
-                        PageTableLevel::Pud => "walk.pud",
-                        PageTableLevel::Pmd => "walk.pmd",
-                        PageTableLevel::Pte => "walk.pte",
-                    },
-                    &[],
-                );
-            }
             let upper_level = matches!(
                 step.level,
                 PageTableLevel::Pgd | PageTableLevel::Pud | PageTableLevel::Pmd
@@ -1286,10 +1162,6 @@ impl Machine {
                     0
                 };
                 cycles += t_entry.max(t_mask);
-            }
-            if tracing {
-                self.spans.set_now(trace_base + cycles);
-                self.spans.end();
             }
         }
         (cycles, walk, path)
@@ -1428,25 +1300,6 @@ mod tests {
         // The cold access walks, faults, then re-walks successfully.
         assert_eq!(stats.walks, 2);
         assert_eq!(stats.major_faults, 1, "first touch reads from disk");
-    }
-
-    #[test]
-    fn fault_on_first_access_emits_an_os_fault_span_on_its_track() {
-        let mut m = Machine::new(
-            SimConfig::new(2, Mode::Baseline)
-                .with_frames(1 << 20)
-                .with_trace_sampling(1),
-        );
-        let (pid, va) = process_with_file(&mut m, 4);
-        m.execute_access(0, pid, va, AccessKind::Read);
-        let track = SpanTrack::new(m.kernel().process(pid).ccid().raw() as u32, pid.raw());
-        let fault_spans = m
-            .spans()
-            .events()
-            .iter()
-            .filter(|e| e.track == track && e.name.starts_with("os.fault."))
-            .count();
-        assert!(fault_spans > 0, "the cold access's fault has a span");
     }
 
     #[test]

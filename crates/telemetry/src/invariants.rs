@@ -3,7 +3,7 @@
 //! An [`InvariantSet`] holds named predicates over [`Snapshot`]s —
 //! conservation laws like `cache.l3.hits + cache.l3.misses ==
 //! cache.l2.misses`, orderings like `evictions <= fills`, and
-//! monotonicity of drop counters. The simulator evaluates the set at
+//! monotonicity of running totals. The simulator evaluates the set at
 //! every timeline epoch boundary, so a counter that drifts out of
 //! agreement with its peers is caught within one epoch of the bug that
 //! moved it, not at the end of a million-access run.
@@ -70,14 +70,6 @@ impl InvariantSet {
             violations: Vec::new(),
             epoch: 0,
         }
-    }
-
-    /// A set pre-loaded with the telemetry-layer invariant: the span
-    /// drop counter never decreases.
-    pub fn with_builtins(mode: InvariantMode) -> Self {
-        let mut set = Self::new(mode);
-        set.monotone_by("telemetry.span_drops_monotone", |s| s.span_dropped);
-        set
     }
 
     /// The failure mode.
@@ -157,19 +149,9 @@ impl InvariantSet {
     /// cumulative snapshots, so any decrease is a bug).
     pub fn monotone(&mut self, name: impl Into<String>, counter: &str) {
         let counter = counter.to_owned();
-        let name = name.into();
-        self.monotone_by(name, move |snap| snap.counter(&counter));
-    }
-
-    /// Like [`InvariantSet::monotone`] for a derived value.
-    pub fn monotone_by(
-        &mut self,
-        name: impl Into<String>,
-        value: impl Fn(&Snapshot) -> u64 + Send + 'static,
-    ) {
         let mut last = 0u64;
         self.register(name, move |snap| {
-            let now = value(snap);
+            let now = snap.counter(&counter);
             if now < last {
                 return Err(format!("value decreased from {last} to {now}"));
             }
@@ -257,7 +239,7 @@ mod tests {
 
     #[test]
     fn clean_snapshot_passes_all_builtin_shapes() {
-        let mut set = InvariantSet::with_builtins(InvariantMode::Record);
+        let mut set = InvariantSet::new(InvariantMode::Record);
         set.counter_le("le", "a", "b");
         set.sum_eq("flow", &["x", "y"], &["z"]);
         set.monotone("mono", "a");

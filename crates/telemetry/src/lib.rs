@@ -2,11 +2,10 @@
 //!
 //! Observability subsystem for the BabelFish reproduction: hierarchical
 //! lock-free [`Counter`]s and log2-bucketed [`Histogram`]s behind a
-//! shared [`Registry`], a sampled hierarchical [`SpanTracer`], epoch
-//! [`Snapshot`]s with delta/merge semantics, bounded merge-halving
-//! [`Timeline`]s with cross-counter [`InvariantSet`] checking, a JSON
-//! exporter for `results/` artifacts, and a live-run [`heartbeat`]
-//! NDJSON event stream for `bf_top` and CI.
+//! shared [`Registry`], epoch [`Snapshot`]s with delta/merge semantics,
+//! bounded merge-halving [`Timeline`]s with cross-counter
+//! [`InvariantSet`] checking, a JSON exporter for `results/` artifacts,
+//! and a live-run [`heartbeat`] NDJSON event stream for `bf_top` and CI.
 //!
 //! ## Naming convention
 //!
@@ -22,7 +21,6 @@ mod metrics;
 mod profiler;
 mod registry;
 mod snapshot;
-mod span;
 mod timeline;
 
 pub use export::write_json;
@@ -34,10 +32,6 @@ pub use profiler::{
 };
 pub use registry::Registry;
 pub use snapshot::{HistogramSnapshot, Snapshot, BUCKETS};
-pub use span::{
-    validate_chrome_trace, ChromeTraceSummary, SpanEvent, SpanPhase, SpanTracer, SpanTrack,
-    DEFAULT_SPAN_CAPACITY,
-};
 pub use timeline::{Epoch, PhaseSummary, Timeline, TimelineSnapshot, DEFAULT_TIMELINE_CAPACITY};
 
 /// Always true: the counters are always compiled in. Kept only because

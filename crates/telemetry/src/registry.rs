@@ -7,7 +7,6 @@
 
 use crate::metrics::{Counter, Histogram};
 use crate::snapshot::Snapshot;
-use crate::span::SpanTracer;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -15,7 +14,6 @@ use std::sync::{Arc, Mutex};
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: SpanTracer,
 }
 
 /// Shared handle onto one metric namespace. Clones are views of the
@@ -25,7 +23,7 @@ struct RegistryInner {
 pub struct Registry(Arc<RegistryInner>);
 
 impl Registry {
-    /// Creates an empty registry with the default span capacity.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
@@ -42,11 +40,6 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut histograms = self.0.histograms.lock().expect("registry lock poisoned");
         histograms.entry(name.to_owned()).or_default().clone()
-    }
-
-    /// The registry's hierarchical span tracer.
-    pub fn spans(&self) -> SpanTracer {
-        self.0.spans.clone()
     }
 
     /// Freezes every registered metric into a [`Snapshot`].
@@ -70,7 +63,6 @@ impl Registry {
         Snapshot {
             counters,
             histograms,
-            span_dropped: self.0.spans.dropped(),
         }
     }
 }

@@ -116,8 +116,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span events dropped because the span buffer was full.
-    pub span_dropped: u64,
 }
 
 impl Snapshot {
@@ -141,7 +139,6 @@ impl Snapshot {
         for (name, hist) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(hist);
         }
-        self.span_dropped = self.span_dropped.wrapping_add(other.span_dropped);
     }
 
     /// Activity after `baseline` was taken, assuming `baseline` is an
@@ -168,7 +165,6 @@ impl Snapshot {
         Self {
             counters,
             histograms,
-            span_dropped: self.span_dropped.wrapping_sub(baseline.span_dropped),
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Property-based tests for the snapshot algebra and the span tracer.
+//! Property-based tests for the snapshot algebra.
 
-use bf_telemetry::{validate_chrome_trace, Histogram, Registry, Snapshot, SpanTracer, SpanTrack};
+use bf_telemetry::{Histogram, Registry, Snapshot};
 use proptest::prelude::*;
 
 /// Builds a snapshot whose counters/histograms are populated from the
@@ -91,74 +91,5 @@ proptest! {
             merged.merge(&h.snapshot());
         }
         prop_assert_eq!(merged, undivided.snapshot());
-    }
-
-    /// Random interleavings of begins/ends/instants/counters/retro-spans
-    /// across several tracks always export a validator-clean Chrome
-    /// trace — even at tiny capacities (drop-whole-subtree keeps B/E
-    /// balanced) and even when accesses leave spans open (export
-    /// force-closes them). With default capacity nothing is dropped.
-    #[test]
-    fn span_streams_always_export_valid_traces(
-        accesses in proptest::collection::vec(
-            (0u32..3, proptest::collection::vec((0u8..6, 1u64..5), 0..12)),
-            0..20),
-    ) {
-        let roomy = SpanTracer::new();
-        let tight = SpanTracer::with_capacity(8);
-        roomy.set_sampling(1);
-        tight.set_sampling(1);
-        let mut clocks = [0u64; 3]; // per-track clocks only advance
-        for (t, ops) in &accesses {
-            let track = SpanTrack::new(*t, *t);
-            let mut now = clocks[*t as usize];
-            roomy.sample_access(track, now);
-            tight.sample_access(track, now);
-            let mut depth = 0u32;
-            for &(op, dt) in ops {
-                now += dt;
-                roomy.set_now(now);
-                tight.set_now(now);
-                match op {
-                    0 | 1 => {
-                        roomy.begin("work", &[("dt", dt)]);
-                        tight.begin("work", &[("dt", dt)]);
-                        depth += 1;
-                    }
-                    2 if depth > 0 => {
-                        roomy.end();
-                        tight.end();
-                        depth -= 1;
-                    }
-                    2 | 3 => {
-                        roomy.instant("mark", &[]);
-                        tight.instant("mark", &[]);
-                    }
-                    4 => {
-                        roomy.counter(track, "occupancy", dt);
-                        tight.counter(track, "occupancy", dt);
-                    }
-                    _ => {
-                        // Retrospective span [now, now+dt]; advance the
-                        // clock past it like the machine does after a
-                        // kernel fault.
-                        roomy.span("retro", dt, &[]);
-                        tight.span("retro", dt, &[]);
-                        now += dt;
-                        roomy.set_now(now);
-                        tight.set_now(now);
-                    }
-                }
-            }
-            // Spans may be left open on purpose: export must close them.
-            roomy.finish_access();
-            tight.finish_access();
-            clocks[*t as usize] = now + 1;
-        }
-        let roomy_summary =
-            validate_chrome_trace(&roomy.chrome_trace()).map_err(TestCaseError)?;
-        validate_chrome_trace(&tight.chrome_trace()).map_err(TestCaseError)?;
-        prop_assert_eq!(roomy.dropped(), 0);
-        prop_assert_eq!(roomy_summary.begins, roomy_summary.ends);
     }
 }

@@ -170,7 +170,6 @@ pub struct TlbGroup {
     l2_4k: Tlb,
     l2_2m: Tlb,
     l2_1g: Tlb,
-    spans: bf_telemetry::SpanTracer,
 }
 
 impl TlbGroup {
@@ -190,7 +189,6 @@ impl TlbGroup {
             l2_2m: Tlb::new(TlbConfig::l2_2m(), config.l2_mode),
             l2_1g: Tlb::new(TlbConfig::l2_1g(), config.l2_mode),
             config,
-            spans: bf_telemetry::SpanTracer::new(),
         }
     }
 
@@ -214,27 +212,11 @@ impl TlbGroup {
         for tlb in [&mut self.l2_4k, &mut self.l2_2m, &mut self.l2_1g] {
             tlb.set_telemetry(l2.clone());
         }
-        self.spans = registry.spans();
-    }
-
-    /// Emits a span instant classifying one lookup outcome, so sampled
-    /// traces show *why* each level resolved the way it did.
-    fn trace_lookup(&self, level: &str, result: &LookupResult) {
-        let name = match (level, result) {
-            ("l1", LookupResult::Hit(hit)) if hit.shared => "tlb.l1.shared_hit",
-            ("l1", LookupResult::Hit(_)) => "tlb.l1.hit",
-            ("l1", LookupResult::CowFault(_)) => "tlb.l1.cow_fault",
-            ("l1", LookupResult::Miss { .. }) => "tlb.l1.miss",
-            (_, LookupResult::Hit(hit)) if hit.shared => "tlb.l2.shared_hit",
-            (_, LookupResult::Hit(_)) => "tlb.l2.hit",
-            (_, LookupResult::CowFault(_)) => "tlb.l2.cow_fault",
-            (_, LookupResult::Miss { .. }) => "tlb.l2.miss",
-        };
-        self.spans.instant(name, &[]);
     }
 
     /// Translations currently resident across all seven structures — the
-    /// machine samples this into the `tlb.occupancy` counter track.
+    /// machine checks it against [`TlbGroup::capacity`] at timeline
+    /// epoch boundaries.
     pub fn resident_entries(&self) -> usize {
         [
             &self.l1i,
@@ -301,7 +283,6 @@ impl TlbGroup {
                 bitmask_consulted: false,
             }
         };
-        self.trace_lookup("l1", &result);
         (result, 1)
     }
 
@@ -335,7 +316,6 @@ impl TlbGroup {
         let result = outcome.unwrap_or(LookupResult::Miss {
             bitmask_consulted: consulted,
         });
-        self.trace_lookup("l2", &result);
         (result, cycles)
     }
 

@@ -1,6 +1,7 @@
-//! The JSON results schema: the exported `stats` view must follow the
-//! stream split of the exported registry counters, and the config types
-//! must survive a serialize → parse round trip.
+//! The JSON results schema: the exported `telemetry` object holds
+//! exactly the registry's counters and histograms, the exported `stats`
+//! view must follow the stream split of those counters, and the config
+//! types must survive a serialize → parse round trip.
 
 use babelfish::experiment::{run_serving, ExperimentConfig};
 use babelfish::{Mode, ServingVariant, SimConfig};
@@ -33,10 +34,19 @@ fn exported_json_stats_follow_the_stream_split() {
         .get("stats")
         .and_then(|s| s.get("tlb"))
         .expect("stats.tlb member");
-    let counters = doc
-        .get("telemetry")
-        .and_then(|t| t.get("counters"))
+    let telemetry = doc.get("telemetry").expect("telemetry member");
+    let counters = telemetry
+        .get("counters")
         .expect("telemetry.counters member");
+    // The registry exports exactly its counters and histograms: no
+    // drop count or other side channel rides along.
+    let keys: Vec<&str> = telemetry
+        .as_object()
+        .expect("telemetry exports as an object")
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(keys, ["counters", "histograms"]);
 
     // Each role's two streams sum to its registry totals; the L1i holds
     // only fetches, the L1d only data, and the L2's fetch stream is its
