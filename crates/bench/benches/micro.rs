@@ -2,7 +2,8 @@
 //! lookup paths (Fig. 8), MaskPage CoW bookkeeping, the page walk, the
 //! cache hierarchy's L1/L2/L3/DRAM paths, the frame allocator, the Zipfian generator, and the bf-telemetry
 //! primitives themselves (the `telemetry` group times one counter
-//! increment and one histogram record through a registry handle).
+//! increment and one histogram record through a registry handle, and
+//! the armed profiler's per-walk tap).
 
 use babelfish::mem::FrameAllocator;
 use babelfish::pgtable::MaskPage;
@@ -337,6 +338,35 @@ fn bench_telemetry(c: &mut Criterion) {
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
             black_box(&histogram).record(v >> 40)
+        })
+    });
+
+    // The armed profiler tap on one walking access: a `record_miss` and
+    // a `record_walk` at the default K = 64. Pages are Zipf-ranked and
+    // scattered over 2^17 VPNs (2048 regions per CCID), so most region
+    // keys are not monitored and recycle a sketch slot, as in a real
+    // walk stream.
+    const PAGES: u64 = 1 << 17;
+    let mut zipf = ZipfianGenerator::new(PAGES, 0.99);
+    let mut rng = StdRng::seed_from_u64(7);
+    let paths = [0o1114, 0o1124, 0o1134, 0o1144, 0o2234];
+    let stream: Vec<(u16, u32, u64, u64, u32)> = (0..1 << 16)
+        .map(|_| {
+            let vpn = zipf.sample(&mut rng).wrapping_mul(0x9e37_79b9) % PAGES;
+            let ccid = rng.gen_range(1..4u16);
+            let pid = u32::from(ccid) * 8 + rng.gen_range(0..8u32);
+            let cycles = rng.gen_range(20..400u64);
+            (ccid, pid, vpn, cycles, paths[rng.gen_range(0..paths.len())])
+        })
+        .collect();
+    let mut profiler = bf_telemetry::Profiler::new(64);
+    let mut i = 0;
+    group.bench_function("profiler_record_walk", |b| {
+        b.iter(|| {
+            let (ccid, pid, vpn, cycles, path) = stream[i];
+            i = (i + 1) % stream.len();
+            profiler.record_miss(ccid, pid, black_box(vpn));
+            profiler.record_walk(ccid, pid, vpn, cycles, path);
         })
     });
     group.finish();

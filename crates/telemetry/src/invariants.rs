@@ -2,11 +2,11 @@
 //!
 //! An [`InvariantSet`] holds named predicates over [`Snapshot`]s —
 //! conservation laws like `cache.l3.hits + cache.l3.misses ==
-//! cache.l2.misses`, orderings like `evictions <= fills`, and
-//! monotonicity of running totals. The simulator evaluates the set at
-//! every timeline epoch boundary, so a counter that drifts out of
-//! agreement with its peers is caught within one epoch of the bug that
-//! moved it, not at the end of a million-access run.
+//! cache.l2.misses` and orderings like `evictions <= fills`. The
+//! simulator evaluates the set at every timeline epoch boundary, so a
+//! counter that drifts out of agreement with its peers is caught within
+//! one epoch of the bug that moved it, not at the end of a
+//! million-access run.
 //!
 //! Two modes: [`InvariantMode::FailFast`] panics on the first violation
 //! (CI), [`InvariantMode::Record`] collects [`Violation`]s into the
@@ -14,8 +14,7 @@
 //!
 //! Checks always receive *cumulative* registry snapshots (never window
 //! deltas): every built-in law holds from boot, so measurement-window
-//! resets need no special handling, and monotone checks get the
-//! monotone view they need.
+//! resets need no special handling.
 
 use crate::snapshot::Snapshot;
 use serde::Serialize;
@@ -145,21 +144,6 @@ impl InvariantSet {
         });
     }
 
-    /// Registers "this counter never decreases" (checks always see
-    /// cumulative snapshots, so any decrease is a bug).
-    pub fn monotone(&mut self, name: impl Into<String>, counter: &str) {
-        let counter = counter.to_owned();
-        let mut last = 0u64;
-        self.register(name, move |snap| {
-            let now = snap.counter(&counter);
-            if now < last {
-                return Err(format!("value decreased from {last} to {now}"));
-            }
-            last = now;
-            Ok(())
-        });
-    }
-
     /// Evaluates every invariant against `snapshot` and advances the
     /// epoch counter. Returns the number of violations found this call
     /// (always 0 in fail-fast mode — it panics instead).
@@ -242,7 +226,6 @@ mod tests {
         let mut set = InvariantSet::new(InvariantMode::Record);
         set.counter_le("le", "a", "b");
         set.sum_eq("flow", &["x", "y"], &["z"]);
-        set.monotone("mono", "a");
         let s = snap(&[("a", 2), ("b", 5), ("x", 3), ("y", 4), ("z", 7)]);
         assert_eq!(set.check(&s), 0);
         assert!(set.violations().is_empty());
@@ -275,15 +258,6 @@ mod tests {
         let mut set = InvariantSet::new(InvariantMode::FailFast);
         set.sum_eq("flow", &["a"], &["b"]);
         set.check(&snap(&[("a", 1), ("b", 2)]));
-    }
-
-    #[test]
-    fn monotone_detects_decrease() {
-        let mut set = InvariantSet::new(InvariantMode::Record);
-        set.monotone("walks", "walks");
-        set.check(&snap(&[("walks", 10)]));
-        assert_eq!(set.check(&snap(&[("walks", 4)])), 1);
-        assert_eq!(set.violations()[0].epoch, 1);
     }
 
     #[test]

@@ -45,16 +45,6 @@ pub struct RegionKey {
     pub region: u64,
 }
 
-/// One monitored counter of a [`SpaceSaving`] sketch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    key: RegionKey,
-    count: u64,
-    /// Maximum possible overestimation inherited when this slot was
-    /// recycled from the previous minimum.
-    error: u64,
-}
-
 /// The Space-Saving heavy-hitter sketch (Metwally, Agrawal & El Abbadi):
 /// at most `capacity` monitored keys; an unmonitored arrival recycles
 /// the minimum counter, inheriting its count as `error`.
@@ -66,10 +56,25 @@ struct Slot {
 ///
 /// Fully deterministic: ties on the minimum recycle the lowest slot
 /// index, and [`SpaceSaving::entries`] orders by `(count desc, key)`.
+///
+/// The slots are stored as parallel arrays, and a winner (tournament)
+/// tree over `K.next_power_of_two()` leaves keeps the minimum slot at
+/// its root. Unfilled leaves count as `u64::MAX` and the left child
+/// wins ties, so the root is always the lowest-indexed minimum. Every
+/// count change replays one leaf-to-root path, an O(log K) update.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving {
-    slots: Vec<Slot>,
+    keys: Vec<RegionKey>,
+    /// One count per tree leaf; `u64::MAX` past the filled slots.
+    counts: Vec<u64>,
+    /// Maximum possible overestimation each slot inherited when it was
+    /// recycled from the previous minimum.
+    errors: Vec<u64>,
     index: FastMap<RegionKey, usize>,
+    /// Heap-ordered winner tree: node `n` holds the slot winning its
+    /// subtree, children are `2n` and `2n + 1`, and leaf `i` sits at
+    /// node `counts.len() + i`. Node 0 is unused.
+    tree: Vec<u32>,
     capacity: usize,
     total: u64,
 }
@@ -79,15 +84,24 @@ impl SpaceSaving {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or its tree's nodes overflow a `u32`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sketch capacity must be positive");
-        SpaceSaving {
-            slots: Vec::with_capacity(capacity),
+        let leaves = capacity.next_power_of_two();
+        let nodes =
+            u32::try_from(2 * leaves).expect("sketch capacity must fit a u32 tree node index");
+        let mut sketch = SpaceSaving {
+            keys: Vec::with_capacity(capacity),
+            counts: vec![u64::MAX; leaves],
+            errors: Vec::with_capacity(capacity),
             index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
+            // Leaf nodes hold their own slot; `rebuild` fills the rest.
+            tree: (0..nodes).map(|n| n.saturating_sub(nodes / 2)).collect(),
             capacity,
             total: 0,
-        }
+        };
+        sketch.rebuild();
+        sketch
     }
 
     /// Total observed weight (the `N` of the error bound).
@@ -104,45 +118,73 @@ impl SpaceSaving {
     /// Observes `weight` on `key`.
     pub fn observe(&mut self, key: RegionKey, weight: u64) {
         self.total += weight;
-        if let Some(&i) = self.index.get(&key) {
-            self.slots[i].count += weight;
-            return;
+        let slot = match self.index.get(&key) {
+            Some(&slot) => {
+                self.counts[slot] += weight;
+                slot
+            }
+            None if self.keys.len() < self.capacity => {
+                let slot = self.keys.len();
+                self.index.insert(key, slot);
+                self.keys.push(key);
+                self.errors.push(0);
+                self.counts[slot] = weight;
+                slot
+            }
+            None => {
+                // Recycle the minimum counter (the root's first minimum).
+                let slot = self.tree[1] as usize;
+                self.index.remove(&self.keys[slot]);
+                self.index.insert(key, slot);
+                self.keys[slot] = key;
+                self.errors[slot] = self.counts[slot];
+                self.counts[slot] += weight;
+                slot
+            }
+        };
+        self.replay(slot);
+    }
+
+    /// The winner of two slots: the smaller count, the left on ties.
+    #[inline]
+    fn winner(&self, left: u32, right: u32) -> u32 {
+        if self.counts[right as usize] < self.counts[left as usize] {
+            right
+        } else {
+            left
         }
-        if self.slots.len() < self.capacity {
-            self.index.insert(key, self.slots.len());
-            self.slots.push(Slot {
-                key,
-                count: weight,
-                error: 0,
-            });
-            return;
+    }
+
+    /// Replays the matches on `slot`'s leaf-to-root path.
+    #[inline]
+    fn replay(&mut self, slot: usize) {
+        let mut node = (self.counts.len() + slot) / 2;
+        while node > 0 {
+            self.tree[node] = self.winner(self.tree[2 * node], self.tree[2 * node + 1]);
+            node /= 2;
         }
-        // Recycle the minimum counter (first minimum for determinism).
-        let (min_index, _) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.count)
-            .expect("capacity > 0");
-        let slot = &mut self.slots[min_index];
-        self.index.remove(&slot.key);
-        self.index.insert(key, min_index);
-        slot.error = slot.count;
-        slot.count += weight;
-        slot.key = key;
+    }
+
+    /// Replays every match, bottom-up.
+    fn rebuild(&mut self) {
+        for node in (1..self.counts.len()).rev() {
+            self.tree[node] = self.winner(self.tree[2 * node], self.tree[2 * node + 1]);
+        }
     }
 
     /// Monitored keys ordered by count descending (key ascending on
     /// ties), each with its worst-case overestimation.
     pub fn entries(&self) -> Vec<RegionCount> {
         let mut out: Vec<RegionCount> = self
-            .slots
+            .keys
             .iter()
-            .map(|s| RegionCount {
-                ccid: s.key.ccid,
-                region: s.key.region,
-                count: s.count,
-                error: s.error,
+            .zip(&self.counts)
+            .zip(&self.errors)
+            .map(|((key, &count), &error)| RegionCount {
+                ccid: key.ccid,
+                region: key.region,
+                count,
+                error,
             })
             .collect();
         out.sort_by(|a, b| {
@@ -155,8 +197,11 @@ impl SpaceSaving {
 
     /// Drops all monitored keys and resets the total.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.keys.clear();
+        self.counts.fill(u64::MAX);
+        self.errors.clear();
         self.index.clear();
+        self.rebuild();
         self.total = 0;
     }
 }
@@ -172,13 +217,6 @@ pub struct RegionCount {
     pub count: u64,
     /// Worst-case overestimation of `count`.
     pub error: u64,
-}
-
-impl RegionCount {
-    /// First virtual address of the region (4 KB pages).
-    pub fn base_va(&self) -> u64 {
-        self.region << (REGION_SHIFT + 12)
-    }
 }
 
 /// A page walk folded to its serving points: 3 bits per level in walk
@@ -355,8 +393,8 @@ pub struct Profiler {
     top_k: usize,
     miss_regions: SpaceSaving,
     walk_regions: SpaceSaving,
-    blame: BTreeMap<(u16, u32), Blame>,
-    paths: BTreeMap<(u16, u32, PathSig), u64>,
+    blame: FastMap<(u16, u32), Blame>,
+    paths: FastMap<(u16, u32, PathSig), u64>,
 }
 
 impl Profiler {
@@ -370,8 +408,8 @@ impl Profiler {
             top_k,
             miss_regions: SpaceSaving::new(top_k),
             walk_regions: SpaceSaving::new(top_k),
-            blame: BTreeMap::new(),
-            paths: BTreeMap::new(),
+            blame: FastMap::default(),
+            paths: FastMap::default(),
         }
     }
 
@@ -412,8 +450,14 @@ impl Profiler {
 
     /// Freezes the current attribution into an exportable snapshot.
     /// `sets` carries the machine's aggregated per-TLB-set counters.
+    /// Blame and paths are sorted by key, so the export does not depend
+    /// on map iteration order.
     pub fn snapshot(&self, sets: Option<SetCounts>) -> ProfileSnapshot {
         let total_walks = self.blame.values().map(|b| b.walks).sum();
+        let mut blame: Vec<_> = self.blame.iter().collect();
+        blame.sort_unstable_by_key(|&(&key, _)| key);
+        let mut paths: Vec<_> = self.paths.iter().collect();
+        paths.sort_unstable_by_key(|&(&key, _)| key);
         ProfileSnapshot {
             top_k: self.top_k as u64,
             region_shift: REGION_SHIFT,
@@ -422,9 +466,8 @@ impl Profiler {
             total_walk_cycles: self.walk_regions.total(),
             miss_regions: self.miss_regions.entries(),
             walk_regions: self.walk_regions.entries(),
-            blame: self
-                .blame
-                .iter()
+            blame: blame
+                .into_iter()
                 .map(|(&(ccid, pid), b)| BlameEntry {
                     ccid,
                     pid,
@@ -433,9 +476,8 @@ impl Profiler {
                     walk_cycles: b.walk_cycles,
                 })
                 .collect(),
-            paths: self
-                .paths
-                .iter()
+            paths: paths
+                .into_iter()
                 .map(|(&(ccid, pid, sig), &count)| PathCount {
                     ccid,
                     pid,
@@ -554,6 +596,100 @@ mod tests {
 
     fn key(ccid: u16, region: u64) -> RegionKey {
         RegionKey { ccid, region }
+    }
+
+    /// The linear-scan Space-Saving sketch the winner tree replaced,
+    /// kept as the oracle for its victim choice: recycling scans every
+    /// slot for the first minimum.
+    struct ScanSpaceSaving {
+        slots: Vec<RegionCount>,
+        capacity: usize,
+        total: u64,
+    }
+
+    impl ScanSpaceSaving {
+        fn new(capacity: usize) -> Self {
+            ScanSpaceSaving {
+                slots: Vec::new(),
+                capacity,
+                total: 0,
+            }
+        }
+
+        fn observe(&mut self, key: RegionKey, weight: u64) {
+            self.total += weight;
+            let found = self
+                .slots
+                .iter_mut()
+                .find(|s| (s.ccid, s.region) == (key.ccid, key.region));
+            if let Some(slot) = found {
+                slot.count += weight;
+            } else if self.slots.len() < self.capacity {
+                self.slots.push(RegionCount {
+                    ccid: key.ccid,
+                    region: key.region,
+                    count: weight,
+                    error: 0,
+                });
+            } else {
+                let slot = self.slots.iter_mut().min_by_key(|s| s.count).unwrap();
+                *slot = RegionCount {
+                    ccid: key.ccid,
+                    region: key.region,
+                    count: slot.count + weight,
+                    error: slot.count,
+                };
+            }
+        }
+
+        fn entries(&self) -> Vec<RegionCount> {
+            let mut out = self.slots.clone();
+            out.sort_by(|a, b| {
+                b.count
+                    .cmp(&a.count)
+                    .then_with(|| (a.ccid, a.region).cmp(&(b.ccid, b.region)))
+            });
+            out
+        }
+
+        fn clear(&mut self) {
+            self.slots.clear();
+            self.total = 0;
+        }
+    }
+
+    /// The winner tree recycles exactly the scan's victim. Weight-1
+    /// streams over a small key space make count ties the common case,
+    /// so a tree that let the right child win ties would evict another
+    /// key; capacities include non-powers of two, whose padded leaves
+    /// must never win, and a mid-stream `clear` must reset the tree.
+    #[test]
+    fn winner_tree_matches_linear_scan_sketch() {
+        for capacity in [1usize, 2, 3, 5, 8, 64, 100] {
+            for (seed, keys, max_weight) in [
+                (0x5eed_u64, 12u64, 1u64),
+                (0xfeed, 400, 1),
+                (0xc0de, 300, 6),
+            ] {
+                let mut rng = Rng(seed ^ capacity as u64);
+                let mut tree = SpaceSaving::new(capacity);
+                let mut scan = ScanSpaceSaving::new(capacity);
+                for op in 0..4000 {
+                    if op == 2500 {
+                        tree.clear();
+                        scan.clear();
+                    } else {
+                        let k = key(rng.below(2) as u16, rng.below(keys));
+                        let weight = 1 + rng.below(max_weight);
+                        tree.observe(k, weight);
+                        scan.observe(k, weight);
+                    }
+                    assert_eq!(tree.entries(), scan.entries(), "K={capacity} op {op}");
+                    assert_eq!(tree.total(), scan.total);
+                    assert_eq!(tree.error_bound(), scan.total / capacity as u64);
+                }
+            }
+        }
     }
 
     #[test]
@@ -701,6 +837,52 @@ mod tests {
         let folded = snap.folded_lines();
         assert!(folded.contains(&"ccid1;pid10;pgd:dram 1".to_owned()));
         assert!(folded.contains(&"ccid1;pid11;pgd:l2 1".to_owned()));
+    }
+
+    /// Blame and paths export sorted by key whatever the arrival
+    /// order: records arrive in descending (ccid, pid) order here.
+    #[test]
+    fn snapshot_sorts_blame_and_paths_by_key() {
+        let dram = path_push(0, path_src::DRAM);
+        let pwc_l2 = path_push(path_push(0, path_src::PWC), path_src::L2);
+        let mut p = Profiler::new(4);
+        // Processes that miss but never walk: blame rows, no paths.
+        for pid in (20..40).rev() {
+            p.record_miss(4, pid, 0x80);
+        }
+        for (ccid, pid, path) in [
+            (3u16, 9u32, dram),
+            (3, 9, pwc_l2),
+            (3, 2, dram),
+            (2, 7, pwc_l2),
+            (2, 7, dram),
+            (2, 7, pwc_l2),
+            (1, 5, dram),
+        ] {
+            p.record_miss(ccid, pid, 0x40);
+            p.record_walk(ccid, pid, 0x40, 10, path);
+        }
+        let snap = p.snapshot(None);
+        let blame: Vec<_> = snap
+            .blame
+            .iter()
+            .map(|b| (b.ccid, b.pid, b.walks))
+            .collect();
+        let mut expected = vec![(1, 5, 1), (2, 7, 3), (3, 2, 1), (3, 9, 2)];
+        expected.extend((20..40).map(|pid| (4, pid, 0)));
+        assert_eq!(blame, expected);
+        // pgd:dram (sig 4) sorts before pgd:pwc;pud:l2 (sig 0o12).
+        assert_eq!(
+            snap.folded_lines(),
+            [
+                "ccid1;pid5;pgd:dram 1",
+                "ccid2;pid7;pgd:dram 1",
+                "ccid2;pid7;pgd:pwc;pud:l2 2",
+                "ccid3;pid2;pgd:dram 1",
+                "ccid3;pid9;pgd:dram 1",
+                "ccid3;pid9;pgd:pwc;pud:l2 1",
+            ]
+        );
     }
 
     #[test]

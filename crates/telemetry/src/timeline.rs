@@ -251,11 +251,6 @@ impl TimelineSnapshot {
             ("last", summarize(b..n)),
         ]
     }
-
-    /// Per-epoch values of one counter, in time order.
-    pub fn counter_series(&self, name: &str) -> Vec<u64> {
-        self.epochs.iter().map(|e| e.delta.counter(name)).collect()
-    }
 }
 
 impl Serialize for TimelineSnapshot {
