@@ -6,38 +6,27 @@
 //! by the Docker engine runtime. The two cells (Baseline, BabelFish)
 //! execute in parallel on the bf-exec sweep runner (`--threads`).
 
-use babelfish::exec::Sweep;
-use babelfish::experiment::run_functions;
-use babelfish::{AccessDensity, Mode};
-use bf_bench::{header, progress, reduction_pct, versus};
+use babelfish::AccessDensity;
+use bf_bench::grid::{self, App, Outcome, BASELINE_VS_BABELFISH};
+use bf_bench::{header, reduction_pct, versus};
 
 fn main() {
     let args = bf_bench::parse_args();
     bf_bench::capture::preflight(&args);
-    let cfg = args.cfg;
-    let quiet = args.quiet;
+    let cells = grid::run(
+        &args.cfg,
+        &[App::Functions(AccessDensity::Dense)],
+        &BASELINE_VS_BABELFISH,
+        args.threads,
+        args.quiet,
+    );
+    let [Outcome::Functions(base), Outcome::Functions(bf)] =
+        [&cells[0], &cells[1]].map(|c| &c.outcome)
+    else {
+        unreachable!("function cells hold function results");
+    };
 
     header("Section VII-C: function container bring-up time");
-    let mut sweep = Sweep::new();
-    for mode in [Mode::Baseline, Mode::babelfish()] {
-        sweep.cell(move || {
-            let r = run_functions(mode, AccessDensity::Dense, &cfg);
-            progress(quiet, &format!("fn-dense-{} done", mode.name()));
-            r
-        });
-    }
-    let mut results = sweep.run(args.threads).into_iter();
-    let mut base = results.next().expect("baseline cell");
-    let mut bf = results.next().expect("babelfish cell");
-    let timeline_cells = [
-        ("fn-dense-baseline".to_owned(), base.timeline.take()),
-        ("fn-dense-babelfish".to_owned(), bf.timeline.take()),
-    ];
-    let profile_cells = [
-        ("fn-dense-baseline".to_owned(), base.profile.take()),
-        ("fn-dense-babelfish".to_owned(), bf.profile.take()),
-    ];
-
     println!(
         "{:<12} {:>14} {:>14} {:>9}",
         "container", "baseline", "babelfish", "reduction"
@@ -57,6 +46,5 @@ fn main() {
         "(the residual is docker-engine runtime, as in the paper: \"Most of the\n remaining overheads in bring-up are due to the runtime of the Docker engine\")"
     );
 
-    bf_bench::emit_timeline_results("bringup_time", &cfg, &timeline_cells);
-    bf_bench::emit_profile_results("bringup_time", &cfg, &profile_cells);
+    grid::emit_exports("bringup_time", &args.cfg, &cells);
 }

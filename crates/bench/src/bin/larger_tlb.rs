@@ -6,94 +6,31 @@
 //! "not a match for BabelFish". Cells (7 workloads × 3 modes) execute
 //! in parallel on the bf-exec sweep runner (`--threads`).
 
-use babelfish::exec::Sweep;
-use babelfish::experiment::{run_compute, run_functions, run_serving, ComputeKind};
-use babelfish::{AccessDensity, Mode, ServingVariant};
-use bf_bench::{header, progress, reduction_pct};
-
-const MODES: [Mode; 3] = [
-    Mode::Baseline,
-    Mode::BaselineLargerTlb,
-    Mode::BabelFish {
-        share_tlb: true,
-        share_page_tables: true,
-        aslr: babelfish::AslrMode::Hardware,
-    },
-];
+use babelfish::Mode;
+use bf_bench::grid::{self, App};
+use bf_bench::{header, reduction_pct};
 
 fn main() {
     let args = bf_bench::parse_args();
     bf_bench::capture::preflight(&args);
-    let cfg = args.cfg;
+    let modes = [Mode::Baseline, Mode::BaselineLargerTlb, Mode::babelfish()];
+    let cells = grid::run(&args.cfg, &App::ALL, &modes, args.threads, args.quiet);
+
     header("Section VII-C: BabelFish vs a larger conventional L2 TLB");
     println!(
         "{:<12} {:>12} {:>12}",
         "workload", "larger-TLB", "BabelFish"
     );
-
-    // One cell per (workload, mode), each returning the workload's
-    // headline metric plus its epoch timeline; rows consume them three
-    // at a time.
-    let quiet = args.quiet;
-    let mut sweep = Sweep::new();
-    let mut labels = Vec::new();
-    for variant in ServingVariant::ALL {
-        labels.push(variant.name());
-        for mode in MODES {
-            sweep.cell(move || {
-                let mut r = run_serving(mode, variant, &cfg);
-                progress(quiet, &format!("{}-{} done", variant.name(), mode.name()));
-                (r.mean_latency, r.timeline.take(), r.profile.take())
-            });
-        }
-    }
-    for kind in ComputeKind::ALL {
-        labels.push(kind.name());
-        for mode in MODES {
-            sweep.cell(move || {
-                let mut r = run_compute(mode, kind, &cfg);
-                progress(quiet, &format!("{}-{} done", kind.name(), mode.name()));
-                (r.exec_cycles as f64, r.timeline.take(), r.profile.take())
-            });
-        }
-    }
-    for (label, density) in [
-        ("fn-dense", AccessDensity::Dense),
-        ("fn-sparse", AccessDensity::Sparse),
-    ] {
-        labels.push(label);
-        for mode in MODES {
-            sweep.cell(move || {
-                let mut r = run_functions(mode, density, &cfg);
-                progress(quiet, &format!("{label}-{} done", mode.name()));
-                (r.follower_mean_exec(), r.timeline.take(), r.profile.take())
-            });
-        }
-    }
-
-    let mut results = sweep.run(args.threads).into_iter();
-    let mut timeline_cells = Vec::new();
-    let mut profile_cells = Vec::new();
-    for label in labels {
-        let (base, base_tl, base_pf) = results.next().expect("baseline cell");
-        let (larger, larger_tl, larger_pf) = results.next().expect("larger-TLB cell");
-        let (bf, bf_tl, bf_pf) = results.next().expect("babelfish cell");
+    for row in cells.chunks(modes.len()) {
+        let [base, larger, bf] = [0, 1, 2].map(|i| row[i].outcome.headline());
         println!(
             "{:<12} {:>11.1}% {:>11.1}%",
-            label,
+            row[0].app.name(),
             reduction_pct(base, larger),
             reduction_pct(base, bf)
         );
-        timeline_cells.push((format!("{label}-baseline"), base_tl));
-        timeline_cells.push((format!("{label}-larger-tlb"), larger_tl));
-        timeline_cells.push((format!("{label}-babelfish"), bf_tl));
-        profile_cells.push((format!("{label}-baseline"), base_pf));
-        profile_cells.push((format!("{label}-larger-tlb"), larger_pf));
-        profile_cells.push((format!("{label}-babelfish"), bf_pf));
     }
-
-    bf_bench::emit_timeline_results("larger_tlb", &cfg, &timeline_cells);
-    bf_bench::emit_profile_results("larger_tlb", &cfg, &profile_cells);
+    grid::emit_exports("larger_tlb", &args.cfg, &cells);
 
     println!(
         "\npaper: larger TLB gains 0.3–2.1%; \"this larger L2 TLB is not a match for BabelFish\""

@@ -5,7 +5,7 @@
 //! a *measured* space overhead from a live BabelFish run's kernel
 //! structures.
 
-use babelfish::experiment::{run_serving_machine, ExperimentConfig};
+use babelfish::experiment::run_serving_machine;
 use babelfish::{AreaOverhead, Mode, ServingVariant, SpaceOverhead};
 use bf_bench::header;
 
@@ -13,6 +13,7 @@ fn main() {
     let mut args = bf_bench::parse_args();
     // Overhead accounting needs structure, not instruction volume.
     args.cfg.measure_instructions = args.cfg.measure_instructions.min(200_000);
+    bf_bench::capture::preflight(&args);
 
     header("Section VII-D: design-level overheads");
     let paper = SpaceOverhead::paper_design();
@@ -54,5 +55,4 @@ fn main() {
             (maskpage_bytes + counter_bytes) as f64 / table_bytes as f64 * 100.0
         );
     }
-    let _ = ExperimentConfig::smoke_test(); // referenced for docs
 }

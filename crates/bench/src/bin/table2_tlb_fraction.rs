@@ -7,9 +7,12 @@
 //! GraphChi 0.11, FIO 0.29 (avg 0.20); dense functions ≈ 0.20, sparse
 //! ≈ 0.01.
 
-use babelfish::experiment::{run_compute, run_functions, run_serving, ComputeKind};
-use babelfish::{AccessDensity, Mode, ServingVariant};
+use babelfish::Mode;
+use bf_bench::grid::{self, App};
 use bf_bench::header;
+
+/// The paper's fractions, in [`App::ALL`] order.
+const PAPER: [f64; 7] = [0.77, 0.25, 0.81, 0.11, 0.29, 0.20, 0.01];
 
 /// The unclamped attribution ratio, or `None` when full BabelFish
 /// gained nothing over the baseline (there is no gain to attribute).
@@ -36,39 +39,25 @@ fn row(label: &str, base: f64, tlb_only: f64, full: f64, paper: f64) {
 
 fn main() {
     let args = bf_bench::parse_args();
+    bf_bench::capture::preflight(&args);
+    let modes = [
+        Mode::Baseline,
+        Mode::babelfish_tlb_only(),
+        Mode::babelfish(),
+    ];
+    let cells = grid::run(&args.cfg, &App::ALL, &modes, args.threads, args.quiet);
+
     header("Table II: fraction of time reduction due to L2 TLB effects");
     println!(
         "{:<14} {:>9} {:>8} {:>8}",
         "workload", "measured", "raw", "paper"
     );
-
-    let paper_serving = [0.77, 0.25, 0.81];
-    for (variant, paper) in ServingVariant::ALL.into_iter().zip(paper_serving) {
-        let base = run_serving(Mode::Baseline, variant, &args.cfg).mean_latency;
-        let tlb = run_serving(Mode::babelfish_tlb_only(), variant, &args.cfg).mean_latency;
-        let full = run_serving(Mode::babelfish(), variant, &args.cfg).mean_latency;
-        row(variant.name(), base, tlb, full, paper);
-    }
-
-    let paper_compute = [0.11, 0.29];
-    for (kind, paper) in ComputeKind::ALL.into_iter().zip(paper_compute) {
-        let base = run_compute(Mode::Baseline, kind, &args.cfg).exec_cycles as f64;
-        let tlb = run_compute(Mode::babelfish_tlb_only(), kind, &args.cfg).exec_cycles as f64;
-        let full = run_compute(Mode::babelfish(), kind, &args.cfg).exec_cycles as f64;
-        row(kind.name(), base, tlb, full, paper);
-    }
-
-    for (label, density, paper) in [
-        ("fn-dense", AccessDensity::Dense, 0.20),
-        ("fn-sparse", AccessDensity::Sparse, 0.01),
-    ] {
-        let base = run_functions(Mode::Baseline, density, &args.cfg).follower_mean_exec();
-        let tlb =
-            run_functions(Mode::babelfish_tlb_only(), density, &args.cfg).follower_mean_exec();
-        let full = run_functions(Mode::babelfish(), density, &args.cfg).follower_mean_exec();
-        row(label, base, tlb, full, paper);
+    for (app_cells, paper) in cells.chunks(modes.len()).zip(PAPER) {
+        let [base, tlb, full] = [0, 1, 2].map(|i| app_cells[i].outcome.headline());
+        row(app_cells[0].app.name(), base, tlb, full, paper);
     }
 
     println!("\n(1.0 = all gains from TLB entry sharing; 0.0 = all from page tables;");
     println!(" raw < 0 = TLB-only sharing slower than baseline; — = no gain to attribute)");
+    grid::emit_exports("table2_tlb_fraction", &args.cfg, &cells);
 }

@@ -1,4 +1,4 @@
-//! The `--capture=FILE` preflight shared by the sweep binaries.
+//! The `--capture=FILE` preflight shared by the figure binaries.
 //!
 //! When the flag is present the binary does not run its figure sweep:
 //! it records one *canonical capture cell* under the binary's
@@ -46,7 +46,8 @@ pub fn window_doc(mode: Mode, app: &str, cfg: &ExperimentConfig, window: &Window
 
 /// Runs the `--capture` preflight if the flag was given, then exits the
 /// process (0 on success, 2 on error). A no-op when the flag is absent.
-/// Every sweep binary calls this straight after [`crate::parse_args`].
+/// Every binary that parses its options with [`crate::parse_args`]
+/// calls this before it runs anything else.
 pub fn preflight(args: &BenchArgs) {
     let Some(path) = &args.capture else {
         return;

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 pub mod capture;
+pub mod grid;
 pub mod report;
-pub mod sweeps;
 
 /// Percentage reduction of `new` relative to `base` (positive = better).
 ///

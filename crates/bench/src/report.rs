@@ -16,8 +16,8 @@
 //!
 //! `timeline` renders a `<figure>-timeline-latest.json` export written
 //! by the figure binaries under `--timeline`: per-cell ASCII sparklines
-//! of each metric's per-epoch rate and the first/mid/last phase
-//! summary. It also validates the export — epoch deltas must sum to the
+//! of each metric's per-epoch rate, the first/mid/last phase summary,
+//! and the window total of every other counter. It also validates the export — epoch deltas must sum to the
 //! whole-window total and the recorded invariant-violation list must be
 //! empty — and exits 1 otherwise:
 //!
@@ -469,8 +469,10 @@ pub fn validate_timeline_doc(doc: &Value) -> Result<Vec<String>, String> {
 }
 
 /// Renders one timeline document: per-cell sparklines of each chosen
-/// metric's per-epoch rate (events per 1000 accesses) plus the
-/// first/mid/last phase summary table.
+/// metric's per-epoch rate (events per 1000 accesses), the
+/// first/mid/last phase summary table, and one `totals` line with the
+/// window total of every counter not sparklined, so a change to any
+/// counter shows in the rendered summary.
 fn render_timeline(doc: &Value, metrics: &[String]) -> Result<(), String> {
     for cell in timeline_cells(doc)? {
         let epochs = cell
@@ -560,6 +562,18 @@ fn render_timeline(doc: &Value, metrics: &[String]) -> Result<(), String> {
                     mpki
                 );
             }
+        }
+        if let Some(totals) = cell
+            .timeline
+            .get("total")
+            .and_then(|t| t.get("counters"))
+            .and_then(Value::as_object)
+        {
+            let mut line = String::from("  totals");
+            for (counter, total) in totals.iter().filter(|(c, _)| !metrics.contains(*c)) {
+                let _ = write!(line, " {counter}={}", total.as_u64().unwrap_or(0));
+            }
+            println!("{line}");
         }
     }
     Ok(())

@@ -5,6 +5,8 @@
 //! unknown: a bin that silently ignored one would run a different
 //! experiment than the caller asked for (replay a trace with
 //! `bf_replay`).
+//! For the same reason a bin that accepts `--capture=FILE` must write
+//! FILE; one that does not know the option must exit 2.
 //! One table drives all bins so a new binary that forgets the contract
 //! fails here, not in someone's CI script.
 
@@ -88,4 +90,33 @@ fn every_bin_exits_two_on_unknown_flags() {
             );
         }
     }
+}
+
+#[test]
+fn every_bin_writes_the_capture_file_or_exits_two() {
+    let dir = std::env::temp_dir().join(format!("bf-cli-capture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, exe) in BINS {
+        let trace = dir.join(format!("{name}.bft"));
+        let out = Command::new(exe)
+            .arg("--quick")
+            .arg(format!("--capture={}", trace.display()))
+            .env_remove("BF_FAULTS")
+            .current_dir(&dir)
+            .output()
+            .unwrap_or_else(|e| panic!("running {name} --capture: {e}"));
+        match out.status.code() {
+            Some(0) => assert!(
+                trace.is_file(),
+                "{name} --capture exited 0 without writing {}",
+                trace.display()
+            ),
+            Some(2) => {}
+            code => panic!(
+                "{name} --capture exited {code:?}, want 0 or 2\nstderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            ),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

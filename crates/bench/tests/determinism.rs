@@ -9,7 +9,12 @@
 //! invariant violations.
 
 use babelfish::experiment::ExperimentConfig;
-use bf_bench::sweeps::{fig10_doc, fig10_profile_cells, fig10_rows, fig10_timeline_cells};
+use bf_bench::grid::{self, fig10_doc, App, Cell, BASELINE_VS_BABELFISH};
+
+/// The Fig. 10 grid: every application under Baseline and BabelFish.
+fn fig10_cells(cfg: &ExperimentConfig, threads: usize) -> Vec<Cell> {
+    grid::run(cfg, &App::ALL, &BASELINE_VS_BABELFISH, threads, true)
+}
 
 /// A config small enough that 14 cells finish in seconds but large
 /// enough that every workload actually touches the TLB hierarchy.
@@ -23,24 +28,20 @@ fn tiny_config() -> ExperimentConfig {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let cfg = tiny_config();
-    let serial = fig10_rows(&cfg, 1, true);
-    let parallel = fig10_rows(&cfg, 4, true);
+    let serial = fig10_cells(&cfg, 1);
+    let parallel = fig10_cells(&cfg, 4);
 
-    // Row order is submission order in both cases.
-    let names: Vec<_> = serial.iter().map(|r| r.name).collect();
-    assert_eq!(names, parallel.iter().map(|r| r.name).collect::<Vec<_>>());
+    // Cell order is submission order in both cases.
+    let names: Vec<_> = serial.iter().map(|c| &c.name).collect();
+    assert_eq!(names, parallel.iter().map(|c| &c.name).collect::<Vec<_>>());
 
     // Each cell's private telemetry registry must be unaffected by the
     // other cells running concurrently.
     for (s, p) in serial.iter().zip(parallel.iter()) {
         assert_eq!(
-            s.base_telemetry, p.base_telemetry,
-            "{}: baseline telemetry drifted across thread counts",
-            s.name
-        );
-        assert_eq!(
-            s.babelfish_telemetry, p.babelfish_telemetry,
-            "{}: babelfish telemetry drifted across thread counts",
+            s.outcome.telemetry(),
+            p.outcome.telemetry(),
+            "{}: telemetry drifted across thread counts",
             s.name
         );
     }
@@ -58,19 +59,19 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn timeline_export_is_byte_identical_across_thread_counts() {
     let mut cfg = tiny_config();
     cfg.timeline_every = 16;
-    let serial = fig10_rows(&cfg, 1, true);
-    let parallel = fig10_rows(&cfg, 4, true);
+    let serial = fig10_cells(&cfg, 1);
+    let parallel = fig10_cells(&cfg, 4);
 
     let doc_serial = serde_json::to_string(&bf_bench::timeline_doc(
         "fig10_tlb",
         &cfg,
-        &fig10_timeline_cells(&serial),
+        &grid::timelines(&serial),
     ))
     .unwrap();
     let doc_parallel = serde_json::to_string(&bf_bench::timeline_doc(
         "fig10_tlb",
         &cfg,
-        &fig10_timeline_cells(&parallel),
+        &grid::timelines(&parallel),
     ))
     .unwrap();
     assert_eq!(
@@ -83,19 +84,19 @@ fn timeline_export_is_byte_identical_across_thread_counts() {
 fn profile_export_is_byte_identical_across_thread_counts() {
     let mut cfg = tiny_config();
     cfg.profile_top_k = 32;
-    let serial = fig10_rows(&cfg, 1, true);
-    let parallel = fig10_rows(&cfg, 4, true);
+    let serial = fig10_cells(&cfg, 1);
+    let parallel = fig10_cells(&cfg, 4);
 
     let doc_serial = serde_json::to_string(&bf_bench::profile_doc(
         "fig10_tlb",
         &cfg,
-        &fig10_profile_cells(&serial),
+        &grid::profiles(&serial),
     ))
     .unwrap();
     let doc_parallel = serde_json::to_string(&bf_bench::profile_doc(
         "fig10_tlb",
         &cfg,
-        &fig10_profile_cells(&parallel),
+        &grid::profiles(&parallel),
     ))
     .unwrap();
     assert_eq!(
@@ -117,7 +118,7 @@ fn clean_fig10_run_records_timelines_without_violations() {
     // Record mode: a violated invariant would land in the export (and
     // fail this test) instead of panicking with less context.
     cfg.timeline_fail_fast = false;
-    for (name, timeline) in fig10_timeline_cells(&fig10_rows(&cfg, 2, true)) {
+    for (name, timeline) in grid::timelines(&fig10_cells(&cfg, 2)) {
         let timeline = timeline.unwrap_or_else(|| panic!("{name}: no timeline recorded"));
         assert!(
             timeline.violations.is_empty(),

@@ -133,7 +133,11 @@ fn armed_fault_runs_report_fault_events_deterministically() {
 /// written once, after every `progress` event.
 #[test]
 fn run_end_is_the_last_line_of_a_non_sweep_binary() {
-    let lines = stripped_stream_of(env!("CARGO_BIN_EXE_table2_tlb_fraction"), "table2", &[]);
+    let lines = stripped_stream_of(
+        env!("CARGO_BIN_EXE_resource_overheads"),
+        "resource-overheads",
+        &[],
+    );
     assert!(
         !events_of_kind(&lines, "progress").is_empty(),
         "the quick run emitted no progress snapshots"
