@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the core data structures: the TLB
 //! lookup paths (Fig. 8), MaskPage CoW bookkeeping, the page walk, the
-//! cache hierarchy's L1/L2/L3/DRAM paths, the frame allocator, the Zipfian generator, and the bf-telemetry
+//! cache hierarchy's L1/L2/L3/DRAM paths, the DRAM bank model, the
+//! frame allocator, the Zipfian generator, and the bf-telemetry
 //! primitives themselves (the `telemetry` group times one counter
 //! increment and one histogram record through a registry handle, and
 //! the armed profiler's per-walk tap).
@@ -128,6 +129,26 @@ fn bench_tlb_group(c: &mut Criterion) {
             }
         })
     });
+
+    // An L2 lookup of a 4 KB page that misses while the 2 MB and 1 GB
+    // structures hold nothing, as in a run without huge pages: 1024
+    // resident 4 KB entries, probed at VPNs never filled.
+    let mut tlbs = TlbGroup::new(TlbGroupConfig::babelfish_aslr_sw());
+    for vpn in 0..1024 {
+        tlbs.fill(AccessKind::Read, fill(vpn, 1, false, false));
+    }
+    let mut miss = TlbAccess {
+        va: VirtAddr::new(0),
+        ..accesses[0]
+    };
+    let mut vpn = 1u64 << 24;
+    group.bench_function("lookup_l2_miss", |b| {
+        b.iter(|| {
+            vpn += 1;
+            miss.va = VirtAddr::new(vpn * 4096);
+            black_box(tlbs.lookup_l2(&miss))
+        })
+    });
     group.finish();
 }
 
@@ -200,9 +221,11 @@ fn bench_machine_access(c: &mut Criterion) {
 /// The streams walk lines in order, so the host prefetcher hides the
 /// set probes. A core load and a walker request at seeded uniform lines
 /// over 64 MB (eight times the L3) touch a random set at every level,
-/// which shows the host cost of the set layout.
+/// which shows the host cost of the set layout. `dram_access` times the
+/// DRAM bank model on its own at such lines.
 fn bench_cache(c: &mut Criterion) {
     use babelfish::cache::{AccessOrigin, CacheHierarchy, HierarchyConfig};
+    use babelfish::mem::{Dram, DramConfig};
     let mut group = c.benchmark_group("cache");
     let core = CoreId::new(0);
     let mut mem = CacheHierarchy::new(HierarchyConfig::table1(1));
@@ -259,8 +282,23 @@ fn bench_cache(c: &mut Criterion) {
             })
         });
     }
-    let mut mem = CacheHierarchy::new(HierarchyConfig::table1(1));
+    // The DRAM bank model alone, at the same seeded uniform lines over
+    // 64 MB: bank mapping, open-row check and busy-window update.
     let lines = (64u64 << 20) / 64;
+    let mut rng = StdRng::seed_from_u64(0xd7a);
+    let addrs: Vec<PhysAddr> = (0..1 << 16)
+        .map(|_| PhysAddr::new(rng.gen_range(0..lines) * 64))
+        .collect();
+    let mut dram = Dram::new(DramConfig::default());
+    let (mut i, mut now) = (0, 0u64);
+    group.bench_function("dram_access", |b| {
+        b.iter(|| {
+            i = (i + 1) % addrs.len();
+            now += 100;
+            dram.access(black_box(addrs[i]), now)
+        })
+    });
+    let mut mem = CacheHierarchy::new(HierarchyConfig::table1(1));
     let mut rng = StdRng::seed_from_u64(0x64);
     let mut now = 0u64;
     for (name, origin) in [

@@ -249,42 +249,43 @@ impl CacheHierarchy {
         let c = core.index();
         assert!(c < self.config.cores, "core {core} out of range");
         let line = addr.cache_line();
+        let walker = origin == AccessOrigin::PageWalker;
         let mut latency: Cycles = 0;
 
+        // Each level probes once and, on a miss, takes the line at
+        // once: nothing between a level's miss and the line's return
+        // touches that level, so this is the state a fill on the way
+        // back would leave.
+
         // L1 (core accesses only).
-        if origin == AccessOrigin::Core {
-            let is_fetch = kind.is_fetch();
-            let l1 = if is_fetch {
-                &mut self.l1i[c]
+        if !walker {
+            let (l1, hits, misses) = if kind.is_fetch() {
+                (
+                    &mut self.l1i[c],
+                    &self.telem.l1i_hits,
+                    &self.telem.l1i_misses,
+                )
             } else {
-                &mut self.l1d[c]
+                (
+                    &mut self.l1d[c],
+                    &self.telem.l1d_hits,
+                    &self.telem.l1d_misses,
+                )
             };
             latency += l1.config().access_cycles;
-            if l1.probe_and_touch(line) {
-                let hits = if is_fetch {
-                    &self.telem.l1i_hits
-                } else {
-                    &self.telem.l1d_hits
-                };
+            if l1.probe_or_insert(line) {
                 hits.incr();
                 return (latency, ServedBy::L1);
             }
-            let misses = if is_fetch {
-                &self.telem.l1i_misses
-            } else {
-                &self.telem.l1d_misses
-            };
             misses.incr();
         }
 
         // L2.
         latency += self.l2[c].config().access_cycles;
-        if self.l2[c].probe_and_touch(line) {
+        if self.l2[c].probe_or_insert(line) {
             self.telem.l2_hits.incr();
-            if origin == AccessOrigin::PageWalker {
+            if walker {
                 self.telem.walks_served_l2.incr();
-            } else {
-                self.fill_l1(c, kind, line);
             }
             return (latency, ServedBy::L2);
         }
@@ -292,13 +293,10 @@ impl CacheHierarchy {
 
         // L3 (shared).
         latency += self.l3.config().access_cycles;
-        if self.l3.probe_and_touch(line) {
+        if self.l3.probe_or_insert(line) {
             self.telem.l3_hits.incr();
-            self.l2[c].fill(line);
-            if origin == AccessOrigin::PageWalker {
+            if walker {
                 self.telem.walks_served_l3.incr();
-            } else {
-                self.fill_l1(c, kind, line);
             }
             return (latency, ServedBy::L3);
         }
@@ -307,23 +305,10 @@ impl CacheHierarchy {
         // DRAM.
         latency += self.dram.access(addr, now + latency);
         self.telem.dram_accesses.incr();
-        self.l3.fill(line);
-        self.l2[c].fill(line);
-        if origin == AccessOrigin::PageWalker {
+        if walker {
             self.telem.walks_served_dram.incr();
-        } else {
-            self.fill_l1(c, kind, line);
         }
         (latency, ServedBy::Dram)
-    }
-
-    fn fill_l1(&mut self, core: usize, kind: AccessKind, line: u64) {
-        let l1 = if kind.is_fetch() {
-            &mut self.l1i[core]
-        } else {
-            &mut self.l1d[core]
-        };
-        l1.fill(line);
     }
 }
 

@@ -6,7 +6,8 @@
 //! * [`SetAssocCache`] — one cache level: LRU replacement over 64 B
 //!   lines, tracking residency only (no dirty bits: write-back traffic
 //!   costs no cycles in this model). Each set keeps its tags in recency
-//!   order, so LRU needs no timestamps.
+//!   order, so LRU needs no timestamps, and one probe-or-insert scan
+//!   serves both the lookup and the fill.
 //! * [`CacheHierarchy`] — per-core L1I/L1D/L2 plus a shared L3 in front of
 //!   [`bf_mem::Dram`]. Ordinary loads/stores enter at the L1; hardware
 //!   page-walker requests enter at the L2, as in Fig. 7 ("the page walker
@@ -29,9 +30,8 @@
 //!
 //! let mut l1 = SetAssocCache::new(CacheConfig::l1_data());
 //! let line = 0x1234;
-//! assert!(!l1.probe_and_touch(line)); // cold miss
-//! l1.fill(line);
-//! assert!(l1.probe_and_touch(line)); // now a hit
+//! assert!(!l1.probe_or_insert(line)); // cold miss, filled
+//! assert!(l1.probe_or_insert(line)); // now a hit
 //! ```
 
 pub mod hierarchy;

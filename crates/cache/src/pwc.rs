@@ -1,6 +1,6 @@
 //! The per-core page-walk cache (PWC).
 
-use crate::set_assoc::{touch, EMPTY};
+use crate::set_assoc::{probe_or_insert, EMPTY};
 use bf_telemetry::{Counter, Registry};
 use bf_types::{Cycles, PageTableLevel, PhysAddr};
 
@@ -48,8 +48,12 @@ impl Default for PwcConfig {
 /// recently-accessed entries of the first three tables", Section II-B).
 ///
 /// Replacement is LRU, kept as in [`SetAssocCache`](crate::SetAssocCache):
-/// each set holds its keys most recently used first, a hit moves its key
-/// to the front and a fill evicts the last slot.
+/// each set holds its keys most recently used first, and
+/// [`PageWalkCache::probe_or_insert`] moves a hit key to the front or
+/// inserts a missing one there, evicting the last slot. The walker
+/// touches only the cache hierarchy between a PWC miss and the walk
+/// step's completion, so inserting at the miss leaves the PWC as a
+/// fill after the fetch would.
 ///
 /// # Examples
 ///
@@ -59,9 +63,8 @@ impl Default for PwcConfig {
 ///
 /// let mut pwc = PageWalkCache::new(Default::default());
 /// let entry = PhysAddr::new(0x5000);
-/// assert!(!pwc.probe(PageTableLevel::Pud, entry));
-/// pwc.fill(PageTableLevel::Pud, entry);
-/// assert!(pwc.probe(PageTableLevel::Pud, entry));
+/// assert!(!pwc.probe_or_insert(PageTableLevel::Pud, entry)); // miss, now cached
+/// assert!(pwc.probe_or_insert(PageTableLevel::Pud, entry));
 /// ```
 #[derive(Debug)]
 pub struct PageWalkCache {
@@ -119,39 +122,25 @@ impl PageWalkCache {
         self.telem_misses = registry.counter("pwc.misses");
     }
 
-    /// Looks up the entry at `entry_addr` for `level`, refreshing LRU
-    /// state on a hit.
+    /// Looks up the entry at `entry_addr` for `level` and makes it the
+    /// most recently used entry of its set, inserting it (LRU
+    /// replacement) when it was absent. Returns whether it was present
+    /// and counts the hit or miss.
     ///
     /// # Panics
     ///
     /// Panics if `level` is [`PageTableLevel::Pte`] — leaf entries are not
     /// cached in a PWC.
-    pub fn probe(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
+    pub fn probe_or_insert(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
+        // Entry addresses / 8 never reach the empty key.
         let key = entry_addr.raw() / 8;
-        let hit = touch(self.set_mut(level, key), key);
+        let hit = probe_or_insert(self.set_mut(level, key), key);
         if hit {
             self.telem_hits.incr();
         } else {
             self.telem_misses.incr();
         }
         hit
-    }
-
-    /// Inserts the entry at `entry_addr` for `level` (LRU replacement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is [`PageTableLevel::Pte`].
-    pub fn fill(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
-        let key = entry_addr.raw() / 8;
-        let set = self.set_mut(level, key);
-        // Already present: refresh. Otherwise the last slot holds the
-        // LRU entry, or an empty way if any (entry addresses / 8 never
-        // reach the empty key).
-        if !touch(set, key) {
-            set.rotate_right(1);
-            set[0] = key;
-        }
     }
 
     /// The ways of `key`'s set at `level`, most recent first.
@@ -177,9 +166,8 @@ mod tests {
         let mut pwc = PageWalkCache::new(PwcConfig::default());
         pwc.attach_telemetry(&registry);
         let addr = PhysAddr::new(0x1000);
-        assert!(!pwc.probe(PageTableLevel::Pgd, addr));
-        pwc.fill(PageTableLevel::Pgd, addr);
-        assert!(pwc.probe(PageTableLevel::Pgd, addr));
+        assert!(!pwc.probe_or_insert(PageTableLevel::Pgd, addr));
+        assert!(pwc.probe_or_insert(PageTableLevel::Pgd, addr));
         let counters = registry.snapshot();
         assert_eq!(counters.counter("pwc.hits"), 1);
         assert_eq!(counters.counter("pwc.misses"), 1);
@@ -189,16 +177,16 @@ mod tests {
     fn levels_are_independent() {
         let mut pwc = PageWalkCache::new(PwcConfig::default());
         let addr = PhysAddr::new(0x2000);
-        pwc.fill(PageTableLevel::Pud, addr);
-        assert!(!pwc.probe(PageTableLevel::Pmd, addr));
-        assert!(pwc.probe(PageTableLevel::Pud, addr));
+        pwc.probe_or_insert(PageTableLevel::Pud, addr);
+        assert!(!pwc.probe_or_insert(PageTableLevel::Pmd, addr));
+        assert!(pwc.probe_or_insert(PageTableLevel::Pud, addr));
     }
 
     #[test]
     #[should_panic(expected = "not cached")]
     fn pte_level_is_rejected() {
         let mut pwc = PageWalkCache::new(PwcConfig::default());
-        pwc.probe(PageTableLevel::Pte, PhysAddr::new(0));
+        pwc.probe_or_insert(PageTableLevel::Pte, PhysAddr::new(0));
     }
 
     #[test]
@@ -208,11 +196,11 @@ mod tests {
         let sets = (config.entries_per_level / config.ways) as u64;
         // Fill one set past capacity: keys congruent mod sets.
         for i in 0..(config.ways as u64 + 1) {
-            pwc.fill(PageTableLevel::Pmd, PhysAddr::new(i * sets * 8));
+            pwc.probe_or_insert(PageTableLevel::Pmd, PhysAddr::new(i * sets * 8));
         }
         // The first entry (LRU) must be gone; the newest must be present.
-        assert!(!pwc.probe(PageTableLevel::Pmd, PhysAddr::new(0)));
-        assert!(pwc.probe(
+        assert!(!resident(&pwc).contains(&(PageTableLevel::Pmd.depth(), 0)));
+        assert!(pwc.probe_or_insert(
             PageTableLevel::Pmd,
             PhysAddr::new(config.ways as u64 * sets * 8)
         ));
@@ -222,9 +210,9 @@ mod tests {
     fn refill_refreshes_without_duplicating() {
         let mut pwc = PageWalkCache::new(PwcConfig::default());
         let addr = PhysAddr::new(0x5000);
-        pwc.fill(PageTableLevel::Pgd, addr);
-        pwc.fill(PageTableLevel::Pgd, addr);
-        assert!(pwc.probe(PageTableLevel::Pgd, addr));
+        pwc.probe_or_insert(PageTableLevel::Pgd, addr);
+        pwc.probe_or_insert(PageTableLevel::Pgd, addr);
+        assert_eq!(resident(&pwc), [(PageTableLevel::Pgd.depth(), 0x5000 / 8)]);
     }
 
     #[test]
@@ -328,14 +316,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The move-to-front arena gives the stamp LRU PWC's hits and
-        /// resident entries under any mix of probes and fills on the
-        /// three cached levels. An op is (probe?, level, set, tag); keys
-        /// crowd four sets so fills evict.
+        /// The move-to-front arena's probe-or-insert gives the stamp LRU
+        /// PWC's hits and resident entries, where the oracle probes and
+        /// fills on a miss, on the three cached levels. An op is
+        /// (level, set, tag); keys crowd four sets so misses evict.
         #[test]
         fn flat_arena_matches_nested_pwc(
             geometry in 0u8..3,
-            ops in proptest::collection::vec((0u8..2, 0u8..3, 0u64..4, 0u64..10), 1..300)
+            ops in proptest::collection::vec((0u8..3, 0u64..4, 0u64..10), 1..300)
         ) {
             let config = match geometry {
                 0 => PwcConfig::default(),
@@ -345,16 +333,15 @@ mod tests {
             let sets = (config.entries_per_level / config.ways) as u64;
             let mut pwc = PageWalkCache::new(config);
             let mut oracle = Oracle::new(config);
-            for (kind, depth, set, tag) in ops {
+            for (depth, set, tag) in ops {
                 let level = PageTableLevel::ALL[depth as usize];
                 let key = tag * sets + set;
                 let addr = PhysAddr::new(key * 8);
-                if kind == 0 {
-                    proptest::prop_assert_eq!(pwc.probe(level, addr), oracle.probe(level, key));
-                } else {
-                    pwc.fill(level, addr);
+                let hit = oracle.probe(level, key);
+                if !hit {
                     oracle.fill(level, key);
                 }
+                proptest::prop_assert_eq!(pwc.probe_or_insert(level, addr), hit);
                 proptest::prop_assert_eq!(resident(&pwc), oracle.resident());
             }
         }

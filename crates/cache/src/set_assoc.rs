@@ -80,15 +80,21 @@ impl CacheConfig {
 /// physical line number, which never reaches it.
 pub(crate) const EMPTY: u64 = u64::MAX;
 
-/// Moves `tag` to the front of `set`, a recency-ordered run of ways,
-/// if it is there. Returns whether it was.
-pub(crate) fn touch(set: &mut [u64], tag: u64) -> bool {
+/// Moves `tag` to the front of `set`, a recency-ordered run of ways, if
+/// it is there; otherwise inserts it at the front, dropping the last
+/// way (the least recent, or an empty way if the set has one). Returns
+/// whether `tag` was there.
+pub(crate) fn probe_or_insert(set: &mut [u64], tag: u64) -> bool {
     match set.iter().position(|&t| t == tag) {
         Some(way) => {
             set[..=way].rotate_right(1);
             true
         }
-        None => false,
+        None => {
+            set.rotate_right(1);
+            set[0] = tag;
+            false
+        }
     }
 }
 
@@ -98,10 +104,17 @@ pub(crate) fn touch(set: &mut [u64], tag: u64) -> bool {
 /// traffic, so lines carry no dirty bit.
 ///
 /// Each set keeps its tags in recency order, most recently used first.
-/// A hit moves its tag to the front and a fill evicts the last slot, so
-/// the order is exactly the LRU order of timestamps: no way needs a
-/// stamp and a probe scans one `u64` per way. Empty ways always sit at
-/// the tail, so a fill takes one while the set has any.
+/// [`SetAssocCache::probe_or_insert`] is the only access: a hit moves
+/// its tag to the front, and a miss inserts the tag at the front and
+/// drops the last slot, so the order is exactly the LRU order of
+/// timestamps: no way needs a stamp and one scan of one `u64` per way
+/// serves both the probe and the fill. Empty ways always sit at the
+/// tail, so a miss takes one while the set has any.
+///
+/// A miss fills at once, before the levels below are probed. The
+/// hierarchy touches only other levels between a level's miss and the
+/// fill it would make when the line comes back, so filling early leaves
+/// every set as a probe now and a fill later would.
 ///
 /// The cache operates on *line numbers* (`PhysAddr::cache_line()`), not raw
 /// addresses, so callers decide the line granularity once.
@@ -112,9 +125,8 @@ pub(crate) fn touch(set: &mut [u64], tag: u64) -> bool {
 /// use bf_cache::{CacheConfig, SetAssocCache};
 ///
 /// let mut cache = SetAssocCache::new(CacheConfig::l1_data());
-/// assert!(!cache.probe_and_touch(42)); // cold miss
-/// cache.fill(42);
-/// assert!(cache.probe_and_touch(42));
+/// assert!(!cache.probe_or_insert(42)); // cold miss, now resident
+/// assert!(cache.probe_or_insert(42));
 /// ```
 #[derive(Debug)]
 pub struct SetAssocCache {
@@ -157,31 +169,12 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Looks up `line`; on a hit, makes it the most recently used line
-    /// of its set. Returns whether the line was present.
-    pub fn probe_and_touch(&mut self, line: u64) -> bool {
+    /// Looks up `line` and makes it the most recently used line of its
+    /// set, inserting it (and evicting the least recent line if the set
+    /// is full) when it was absent. Returns whether it was present.
+    pub fn probe_or_insert(&mut self, line: u64) -> bool {
         let tag = self.tag(line);
-        touch(self.set_mut(line), tag)
-    }
-
-    /// Inserts `line` as the most recently used line of its set,
-    /// evicting the least recent if the set is full, and returns the
-    /// evicted line number if a valid line was displaced.
-    pub fn fill(&mut self, line: u64) -> Option<u64> {
-        let tag = self.tag(line);
-        let set_bits = line & self.set_mask;
-        let set_shift = self.set_shift;
-        let set = self.set_mut(line);
-
-        // Already present (e.g. racing fills): refresh.
-        if touch(set, tag) {
-            return None;
-        }
-
-        // The last slot holds the LRU line, or an empty way if any.
-        set.rotate_right(1);
-        let evicted = std::mem::replace(&mut set[0], tag);
-        (evicted != EMPTY).then_some((evicted << set_shift) | set_bits)
+        probe_or_insert(self.set_mut(line), tag)
     }
 
     /// Number of valid lines currently resident.
@@ -225,41 +218,40 @@ mod tests {
         assert_eq!(CacheConfig::l3().access_cycles, 32);
     }
 
+    /// Every resident line of `cache`, sorted.
+    fn lines(cache: &SetAssocCache) -> Vec<u64> {
+        let ways = cache.config.ways;
+        let mut out: Vec<u64> = (0..cache.tags.len())
+            .filter(|&i| cache.tags[i] != EMPTY)
+            .map(|i| (cache.tags[i] << cache.set_shift) | (i / ways) as u64)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut cache = tiny();
-        assert!(!cache.probe_and_touch(100));
-        cache.fill(100);
-        assert!(cache.probe_and_touch(100));
+        assert!(!cache.probe_or_insert(100));
+        assert!(cache.probe_or_insert(100));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut cache = tiny();
         // Lines 0, 4, 8 map to set 0 (4 sets).
-        cache.fill(0);
-        cache.fill(4);
-        cache.probe_and_touch(0); // 0 is now MRU
-        let evicted = cache.fill(8);
-        assert_eq!(evicted, Some(4), "LRU way (line 4) should be evicted");
-        assert!(cache.probe_and_touch(0));
-        assert!(!cache.probe_and_touch(4));
-    }
-
-    #[test]
-    fn eviction_reports_reconstructed_line() {
-        let mut cache = tiny();
-        cache.fill(3); // set 3
-        cache.fill(7); // set 3
-        let evicted = cache.fill(11); // set 3, evicts line 3
-        assert_eq!(evicted, Some(3));
+        cache.probe_or_insert(0);
+        cache.probe_or_insert(4);
+        assert!(cache.probe_or_insert(0)); // 0 is now MRU
+        assert!(!cache.probe_or_insert(8));
+        assert_eq!(lines(&cache), [0, 8], "LRU way (line 4) should be evicted");
     }
 
     #[test]
     fn refill_of_resident_line_does_not_evict() {
         let mut cache = tiny();
-        cache.fill(0);
-        assert_eq!(cache.fill(0), None);
+        cache.probe_or_insert(0);
+        assert!(cache.probe_or_insert(0));
         assert_eq!(cache.resident_lines(), 1);
     }
 
@@ -267,10 +259,10 @@ mod tests {
     fn distinct_sets_do_not_conflict() {
         let mut cache = tiny();
         for line in 0..4 {
-            cache.fill(line);
+            assert!(!cache.probe_or_insert(line));
         }
         for line in 0..4 {
-            assert!(cache.probe_and_touch(line));
+            assert!(cache.probe_or_insert(line));
         }
     }
 
@@ -359,12 +351,25 @@ mod tests {
         fn resident_lines(&self) -> usize {
             self.sets.iter().flatten().filter(|w| w.valid).count()
         }
+
+        /// Every resident line, sorted.
+        fn lines(&self) -> Vec<u64> {
+            let sets = self.sets.len() as u64;
+            let mut out: Vec<u64> = (0..self.sets.len())
+                .flat_map(|s| self.sets[s].iter().map(move |w| (s as u64, w)))
+                .filter(|(_, w)| w.valid)
+                .map(|(s, w)| w.tag * sets + s)
+                .collect();
+            out.sort_unstable();
+            out
+        }
     }
 
-    /// Replays `ops` on the arena and the oracle, comparing every result.
-    /// An op is (kind, set, tag, raw line): kinds 0-1 probe, 2-3 fill.
-    /// Lines mostly crowd four sets so fills evict; odd kinds use the
-    /// raw line to reach every set.
+    /// Replays `ops` on the arena and the oracle, comparing every hit
+    /// and the resident lines. An arena `probe_or_insert` is an oracle
+    /// probe followed, on a miss, by a fill. An op is (kind, set, tag,
+    /// raw line): lines mostly crowd four sets so misses evict; odd
+    /// kinds use the raw line to reach every set.
     fn matches_oracle(
         config: CacheConfig,
         ops: &[(u8, u64, u64, u64)],
@@ -374,15 +379,13 @@ mod tests {
         let sets = config.sets() as u64;
         for &(kind, set, tag, raw) in ops {
             let line = if kind % 2 == 1 { raw } else { tag * sets + set };
-            if kind < 2 {
-                proptest::prop_assert_eq!(
-                    cache.probe_and_touch(line),
-                    oracle.probe_and_touch(line)
-                );
-            } else {
-                proptest::prop_assert_eq!(cache.fill(line), oracle.fill(line));
+            let hit = oracle.probe_and_touch(line);
+            if !hit {
+                oracle.fill(line);
             }
+            proptest::prop_assert_eq!(cache.probe_or_insert(line), hit);
         }
+        proptest::prop_assert_eq!(lines(&cache), oracle.lines());
         proptest::prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
         Ok(())
     }
@@ -397,8 +400,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The move-to-front arena gives the stamp LRU's hits, evicted
-        /// lines and residency on the tiny and Table I geometries.
+        /// The move-to-front arena's probe-or-insert gives the stamp
+        /// LRU's hits and resident lines on the tiny and Table I
+        /// geometries.
         #[test]
         fn flat_arena_matches_nested_lru(
             index in 0u8..4,

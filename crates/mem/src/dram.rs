@@ -67,7 +67,9 @@ struct BankState {
 /// Each access is mapped to a bank by address interleaving (line-grained
 /// channel interleave, row-grained bank interleave — the common BRC-style
 /// mapping), then charged a row-hit or row-miss latency plus any queueing
-/// delay while the bank is busy.
+/// delay while the bank is busy. The channel count, the banks per channel
+/// and the row size are powers of two, so the mapping is masks and
+/// shifts.
 ///
 /// # Examples
 ///
@@ -87,13 +89,44 @@ struct BankState {
 pub struct Dram {
     config: DramConfig,
     banks: Vec<BankState>,
+    /// `channels - 1`: a line's channel is `line & channel_mask`.
+    channel_mask: u64,
+    /// `log2(row_bytes)`: an address's row is `addr >> row_shift`.
+    row_shift: u32,
+    /// `ranks_per_channel * banks_per_rank - 1`: a row's bank within its
+    /// channel is `row & bank_mask`.
+    bank_mask: u64,
+    /// `log2(ranks_per_channel * banks_per_rank)`: a channel's first
+    /// flat bank index is `channel << bank_shift`.
+    bank_shift: u32,
 }
 
 impl Dram {
     /// Creates a DRAM model with the given organisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels`, `ranks_per_channel * banks_per_rank` or
+    /// `row_bytes` is not a power of two.
     pub fn new(config: DramConfig) -> Self {
-        let banks = vec![BankState::default(); config.total_banks()];
-        Dram { config, banks }
+        let banks_per_channel = config.ranks_per_channel * config.banks_per_rank;
+        assert!(
+            config.channels.is_power_of_two()
+                && banks_per_channel.is_power_of_two()
+                && config.row_bytes.is_power_of_two(),
+            "DRAM geometry must be powers of two: {} channels, {banks_per_channel} banks per \
+             channel, {} B rows",
+            config.channels,
+            config.row_bytes
+        );
+        Dram {
+            banks: vec![BankState::default(); config.total_banks()],
+            channel_mask: config.channels as u64 - 1,
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_mask: banks_per_channel as u64 - 1,
+            bank_shift: banks_per_channel.trailing_zeros(),
+            config,
+        }
     }
 
     /// The configuration this model was built with.
@@ -121,13 +154,10 @@ impl Dram {
 
     /// Maps a physical address to (flat bank index, row id).
     fn map(&self, addr: PhysAddr) -> (usize, u64) {
-        let line = addr.cache_line();
-        let channel = (line % self.config.channels as u64) as usize;
-        let row_global = addr.raw() / self.config.row_bytes;
-        let banks_per_chan = self.config.ranks_per_channel * self.config.banks_per_rank;
-        let bank_in_chan = (row_global % banks_per_chan as u64) as usize;
-        let bank_index = channel * banks_per_chan + bank_in_chan;
-        (bank_index, row_global)
+        let channel = addr.cache_line() & self.channel_mask;
+        let row = addr.raw() >> self.row_shift;
+        let bank_index = (channel << self.bank_shift) | (row & self.bank_mask);
+        (bank_index as usize, row)
     }
 }
 
@@ -200,5 +230,36 @@ mod tests {
         assert_eq!(config.total_banks(), 2 * 8 * 8);
         let dram = Dram::new(config);
         assert_eq!(dram.banks.len(), config.total_banks());
+    }
+    #[test]
+    fn mask_map_matches_division_map() {
+        // The division formula the masks replace: channel = line mod
+        // channels, row = addr / row_bytes, bank = row mod banks per
+        // channel, flat index = channel * banks per channel + bank.
+        let config = quiet_config();
+        let dram = Dram::new(config);
+        let banks_per_chan = (config.ranks_per_channel * config.banks_per_rank) as u64;
+        let mut addr = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..100_000u64 {
+            // Low addresses in order, then scattered 48-bit addresses.
+            let raw = if i < 50_000 { i * 64 } else { addr >> 16 };
+            addr = addr
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pa = PhysAddr::new(raw);
+            let channel = pa.cache_line() % config.channels as u64;
+            let row = raw / config.row_bytes;
+            let bank = channel * banks_per_chan + row % banks_per_chan;
+            assert_eq!(dram.map(pa), (bank as usize, row), "address {raw:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two: 3 channels, 64 banks per channel, 8192 B rows")]
+    fn non_power_of_two_geometry_is_rejected() {
+        let _ = Dram::new(DramConfig {
+            channels: 3,
+            ..DramConfig::default()
+        });
     }
 }

@@ -1113,7 +1113,9 @@ impl Machine {
             if upper_level {
                 let core = &mut self.cores[core_index];
                 cycles += core.pwc.config().access_cycles;
-                if core.pwc.probe(step.level, step.entry_addr) {
+                // A miss caches the entry at once: the fetch below
+                // touches only the cache hierarchy.
+                if core.pwc.probe_or_insert(step.level, step.entry_addr) {
                     path = path_push(path, path_src::PWC);
                 } else {
                     let now = core.clock + cycles;
@@ -1126,7 +1128,6 @@ impl Machine {
                     );
                     cycles += t;
                     path = path_push(path, served_src(served));
-                    self.cores[core_index].pwc.fill(step.level, step.entry_addr);
                 }
             } else {
                 // Final fetch (pte_t, or the level where the walk ends).

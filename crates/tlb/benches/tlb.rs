@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks of the TLB structure itself: lookup hits
 //! and misses, fills with LRU eviction, and single-VPN invalidation.
 //!
-//! These pin the flattened contiguous-arena layout (one `Box<[Entry]>`
-//! with mask-based set indexing) against regressions: hits must stay at
-//! least as fast as the old nested `Vec<Vec<Entry>>` layout and misses
-//! faster, since a miss walks a full set's ways through one cache-line
-//! run instead of a pointer-chased spill vector.
+//! These pin the set-major key/stamp/payload layout against
+//! regressions: a lookup compares one `u64` key per way and reads a
+//! payload only on a key match, and a fill makes one pass over a set's
+//! keys and stamps.
 
 use bf_tlb::{LookupMode, LookupRequest, Tlb, TlbConfig, TlbFill};
 use bf_types::{Ccid, PageFlags, PageSize, Pcid, Pid, Ppn, Vpn};

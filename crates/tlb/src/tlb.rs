@@ -298,10 +298,10 @@ impl TlbStats {
     }
 }
 
+/// The payload of one slot: everything but the VPN tag and the LRU
+/// stamp, which live in [`Tlb`]'s key and stamp arrays.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    valid: bool,
-    vpn: Vpn,
     ppn: Ppn,
     size: PageSize,
     flags: PageFlags,
@@ -309,14 +309,11 @@ struct Entry {
     ccid: Ccid,
     opc: OpcField,
     loader: Pid,
-    last_used: u64,
 }
 
 impl Default for Entry {
     fn default() -> Self {
         Entry {
-            valid: false,
-            vpn: Vpn::default(),
             ppn: Ppn::default(),
             size: PageSize::Size4K,
             flags: PageFlags::empty(),
@@ -324,21 +321,43 @@ impl Default for Entry {
             ccid: Ccid::default(),
             opc: OpcField::shared(),
             loader: Pid::default(),
-            last_used: 0,
         }
     }
+}
+
+/// Key of a free slot. A resident slot's key is [`key_of`] its VPN,
+/// which is odd and so never 0.
+const FREE: u64 = 0;
+
+/// Key of a resident VPN: the VPN with the valid bit below it.
+#[inline(always)]
+fn key_of(vpn: Vpn) -> u64 {
+    debug_assert!(
+        vpn.raw() >> 63 == 0,
+        "VPN {vpn:?} has no room for the valid bit"
+    );
+    (vpn.raw() << 1) | 1
 }
 
 /// One set-associative TLB structure (a single page size; see
 /// [`crate::TlbGroup`] for the full per-core complement).
 ///
-/// Entries live in one contiguous arena (`sets * ways` slots, set-major)
-/// rather than a `Vec<Vec<_>>`: a lookup touches exactly one cache-line
-/// run instead of chasing a per-set heap pointer. Set selection is a
-/// mask when the set count is a power of two (all Table I geometries)
-/// and falls back to `%` otherwise (e.g. the 192-set larger-baseline
-/// L2) — for power-of-two counts the two are identical, so the layout
-/// change cannot move any metric.
+/// The slots live in three set-major arrays of `sets * ways` each:
+/// `keys` holds each slot's VPN with a valid bit (0 for a free slot),
+/// `stamps` its LRU stamp (0 for a free slot), and `entries` the rest
+/// of the payload. A lookup compares keys only, one `u64` a way, and
+/// reads a payload only when its key matches; a fill finds the
+/// same-identity slot, the victim and the ownership transition in one
+/// pass over keys and stamps. The victim is the first slot with the
+/// smallest stamp, which is the first free slot while the set has one.
+///
+/// Slots never move: which of two entries for one VPN (a shared O = 0
+/// entry and an owned O = 1 entry) a lookup meets first, and which slot
+/// [`Tlb::inject_ppn_flip`] picks, both follow slot order.
+///
+/// Set selection is a mask when the set count is a power of two (all
+/// Table I geometries) and falls back to `%` otherwise (e.g. the
+/// 192-set larger-baseline L2).
 ///
 /// # Examples
 ///
@@ -347,6 +366,11 @@ impl Default for Entry {
 pub struct Tlb {
     config: TlbConfig,
     mode: LookupMode,
+    /// [`key_of`] each slot's VPN, or [`FREE`].
+    keys: Box<[u64]>,
+    /// Each slot's LRU stamp: the clock of its last fill or hit, 0 when
+    /// free.
+    stamps: Box<[u64]>,
     entries: Box<[Entry]>,
     sets: usize,
     ways: usize,
@@ -380,6 +404,8 @@ impl Tlb {
         let sets = config.sets();
         let pow2_sets = sets.is_power_of_two();
         Tlb {
+            keys: vec![FREE; config.entries].into_boxed_slice(),
+            stamps: vec![0; config.entries].into_boxed_slice(),
             entries: vec![Entry::default(); config.entries].into_boxed_slice(),
             sets,
             ways: config.ways,
@@ -420,7 +446,7 @@ impl Tlb {
         }
     }
 
-    /// Arena range of one set's ways.
+    /// Slot range of one set's ways.
     #[inline(always)]
     fn set_range(&self, set_index: usize) -> core::ops::Range<usize> {
         let base = set_index * self.ways;
@@ -460,11 +486,11 @@ impl Tlb {
         self.resident
     }
 
-    /// Ground-truth resident count by scanning the arena (test oracle for
+    /// Ground-truth resident count by scanning the keys (test oracle for
     /// the incremental counter).
     #[cfg(test)]
     fn resident_scan(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.keys.iter().filter(|&&key| key != FREE).count()
     }
 
     /// Performs one lookup, updating LRU state and statistics.
@@ -477,17 +503,27 @@ impl Tlb {
     /// [`Tlb::lookup`] with an explicit access kind for the statistics
     /// split of Fig. 10 (a plain `lookup` counts as a data read).
     pub fn lookup_kind(&mut self, req: &LookupRequest, kind: AccessKind) -> LookupResult {
-        self.clock += 1;
-        let clock = self.clock;
-        let base = self.set_index(req.vpn) * self.ways;
+        let set_index = self.set_index(req.vpn);
+        // An empty structure misses without a scan (the 2 MB and 1 GB
+        // structures of most runs).
+        if self.resident == 0 {
+            self.count_miss(kind, set_index);
+            return LookupResult::Miss {
+                bitmask_consulted: false,
+            };
+        }
+        let key = key_of(req.vpn);
         let mode = self.mode;
         let mut bitmask_consulted = false;
         let mut outcome: Option<(usize, Hit, bool)> = None;
+        let range = self.set_range(set_index);
+        let entries = &self.entries[range.clone()];
 
-        for (way_index, entry) in self.entries[base..base + self.ways].iter().enumerate() {
-            if !entry.valid || entry.vpn != req.vpn {
+        for (way, &slot_key) in self.keys[range.clone()].iter().enumerate() {
+            if slot_key != key {
                 continue;
             }
+            let entry = &entries[way];
             match mode {
                 LookupMode::Conventional => {
                     // Fig. 1: VPN + PCID must match.
@@ -528,7 +564,7 @@ impl Tlb {
                 shared: entry.loader != req.pid,
                 bitmask_consulted,
             };
-            outcome = Some((way_index, hit, entry.opc.is_owned()));
+            outcome = Some((range.start + way, hit, entry.opc.is_owned()));
             break;
         }
 
@@ -537,8 +573,9 @@ impl Tlb {
         }
 
         match outcome {
-            Some((way_index, hit, owned_entry)) => {
-                self.entries[base + way_index].last_used = clock;
+            Some((slot, hit, owned_entry)) => {
+                self.clock += 1;
+                self.stamps[slot] = self.clock;
                 if owned_entry && mode == LookupMode::BabelFish {
                     self.telem.private_copy_hits.incr();
                 }
@@ -554,10 +591,7 @@ impl Tlb {
                 }
             }
             None => {
-                self.count_miss(kind);
-                if let Some(sp) = self.set_profile.as_deref_mut() {
-                    sp.misses[base / self.ways] += 1;
-                }
+                self.count_miss(kind, set_index);
                 LookupResult::Miss { bitmask_consulted }
             }
         }
@@ -567,52 +601,59 @@ impl Tlb {
     /// entry with the same tag identity already exists, it is updated in
     /// place — the TLB never holds duplicates of one translation.
     pub fn fill(&mut self, fill: TlbFill) {
-        self.clock += 1;
-        let clock = self.clock;
         let set_index = self.set_index(fill.vpn);
-        let range = self.set_range(set_index);
+        let key = key_of(fill.vpn);
         let mode = self.mode;
-        let set = &mut self.entries[range];
-
+        let mut same_identity = None;
         // A private copy arriving while the group's shared entry is
         // resident marks a shared → private ownership transition for
         // this VPN (the CoW protocol of Section III-A).
-        let ownership_transition = mode == LookupMode::BabelFish
-            && fill.owned
-            && set
-                .iter()
-                .any(|e| e.valid && e.vpn == fill.vpn && e.ccid == fill.ccid && !e.opc.is_owned());
+        let mut ownership_transition = false;
+        let range = self.set_range(set_index);
+        let entries = &self.entries[range.clone()];
+        let stamps = &self.stamps[range.clone()];
+        let (mut victim, mut oldest) = (0, u64::MAX);
 
-        let same_identity = |e: &Entry| {
-            e.valid
-                && e.vpn == fill.vpn
-                && match mode {
+        for (way, (&slot_key, &stamp)) in self.keys[range.clone()].iter().zip(stamps).enumerate() {
+            if slot_key == key {
+                let e = &entries[way];
+                let same = match mode {
                     LookupMode::Conventional => e.pcid == fill.pcid,
                     LookupMode::BabelFish => {
+                        ownership_transition |=
+                            fill.owned && e.ccid == fill.ccid && !e.opc.is_owned();
                         e.ccid == fill.ccid
                             && e.opc.is_owned() == fill.owned
                             && (!fill.owned || e.pcid == fill.pcid)
                     }
+                };
+                if same && same_identity.is_none() {
+                    same_identity = Some(way);
                 }
-        };
-
-        let slot = if let Some(i) = set.iter().position(same_identity) {
-            i
-        } else if let Some(i) = set.iter().position(|e| !e.valid) {
-            i
-        } else {
-            let i = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("set has at least one way");
-            self.telem.evictions.incr();
-            if let Some(sp) = self.set_profile.as_deref_mut() {
-                sp.evictions[set_index] += 1;
             }
-            i
-        };
+            // Free slots carry stamp 0, so the first of them is the
+            // victim while the set has one.
+            if stamp < oldest {
+                oldest = stamp;
+                victim = way;
+            }
+        }
+
+        let slot = range.start
+            + match same_identity {
+                Some(way) => way,
+                None => {
+                    if oldest == 0 {
+                        self.resident += 1;
+                    } else {
+                        self.telem.evictions.incr();
+                        if let Some(sp) = self.set_profile.as_deref_mut() {
+                            sp.evictions[set_index] += 1;
+                        }
+                    }
+                    victim
+                }
+            };
 
         // Fig. 5b: when ORPC is clear the hardware clears the bitmask
         // storage instead of loading it.
@@ -624,12 +665,10 @@ impl Tlb {
             OpcField::shared()
         };
 
-        if !set[slot].valid {
-            self.resident += 1;
-        }
-        set[slot] = Entry {
-            valid: true,
-            vpn: fill.vpn,
+        self.clock += 1;
+        self.keys[slot] = key;
+        self.stamps[slot] = self.clock;
+        self.entries[slot] = Entry {
             ppn: fill.ppn,
             size: fill.size,
             flags: fill.flags,
@@ -637,7 +676,6 @@ impl Tlb {
             ccid: fill.ccid,
             opc,
             loader: fill.loader,
-            last_used: clock,
         };
         self.telem.fills.incr();
         if ownership_transition {
@@ -650,29 +688,26 @@ impl Tlb {
     /// ("the OS invalidates from the local and remote TLBs the TLB entry
     /// for this VPN that has the O bit equal to zero", Section III-A).
     pub fn invalidate_shared(&mut self, vpn: Vpn, ccid: Ccid) {
-        let range = self.set_range(self.set_index(vpn));
-        let mut dropped = 0;
-        for entry in &mut self.entries[range] {
-            if entry.valid && entry.vpn == vpn && entry.ccid == ccid && !entry.opc.is_owned() {
-                entry.valid = false;
-                dropped += 1;
+        let key = key_of(vpn);
+        for slot in self.set_range(self.set_index(vpn)) {
+            if self.keys[slot] == key {
+                let entry = &self.entries[slot];
+                if entry.ccid == ccid && !entry.opc.is_owned() {
+                    self.free(slot);
+                }
             }
         }
-        self.resident -= dropped;
     }
 
     /// Invalidates one process's entry for a VPN (conventional CoW /
     /// unmap path).
     pub fn invalidate_page(&mut self, vpn: Vpn, pcid: Pcid) {
-        let range = self.set_range(self.set_index(vpn));
-        let mut dropped = 0;
-        for entry in &mut self.entries[range] {
-            if entry.valid && entry.vpn == vpn && entry.pcid == pcid {
-                entry.valid = false;
-                dropped += 1;
+        let key = key_of(vpn);
+        for slot in self.set_range(self.set_index(vpn)) {
+            if self.keys[slot] == key && self.entries[slot].pcid == pcid {
+                self.free(slot);
             }
         }
-        self.resident -= dropped;
     }
 
     /// Invalidates every entry belonging to a process (process exit).
@@ -680,32 +715,34 @@ impl Tlb {
     /// the process.
     pub fn invalidate_process(&mut self, pcid: Pcid) {
         let mode = self.mode;
-        let mut dropped = 0;
-        for entry in self.entries.iter_mut() {
-            if entry.valid && entry.pcid == pcid {
-                let is_shared_group_entry = mode == LookupMode::BabelFish && !entry.opc.is_owned();
-                if !is_shared_group_entry {
-                    entry.valid = false;
-                    dropped += 1;
-                }
+        for slot in 0..self.keys.len() {
+            let entry = &self.entries[slot];
+            let is_shared_group_entry = mode == LookupMode::BabelFish && !entry.opc.is_owned();
+            if self.keys[slot] != FREE && entry.pcid == pcid && !is_shared_group_entry {
+                self.free(slot);
             }
         }
-        self.resident -= dropped;
     }
 
     /// Invalidates everything.
     pub fn flush(&mut self) {
-        for entry in self.entries.iter_mut() {
-            entry.valid = false;
-        }
+        self.keys.fill(FREE);
+        self.stamps.fill(0);
         self.resident = 0;
+    }
+
+    /// Frees one resident slot.
+    fn free(&mut self, slot: usize) {
+        self.keys[slot] = FREE;
+        self.stamps[slot] = 0;
+        self.resident -= 1;
     }
 
     /// Fault injection: flips one low PPN bit of a resident entry chosen
     /// deterministically from `selector` (bits 0..32 pick the victim
-    /// among resident entries, bits 32.. pick which of the 8 low PPN
-    /// bits flips). Returns the oracle record, or `None` when nothing is
-    /// resident.
+    /// among resident entries in slot order, bits 32.. pick which of the
+    /// 8 low PPN bits flips). Returns the oracle record, or `None` when
+    /// nothing is resident.
     ///
     /// The PPN plays no part in set indexing, tag matching, or the
     /// resident count, so the flip perturbs only the *translation* — the
@@ -718,18 +755,16 @@ impl Tlb {
         }
         let nth = ((selector & 0xffff_ffff) % self.resident as u64) as usize;
         let bit = (selector >> 32) % 8;
-        let (slot, entry) = self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, e)| e.valid)
+        let slot = (0..self.keys.len())
+            .filter(|&slot| self.keys[slot] != FREE)
             .nth(nth)?;
+        let entry = &mut self.entries[slot];
         let original = entry.ppn;
         let corrupt = Ppn::new(original.raw() ^ (1 << bit));
         entry.ppn = corrupt;
         Some(InjectedFlip {
             slot,
-            vpn: entry.vpn,
+            vpn: Vpn::new(self.keys[slot] >> 1),
             ppn_original: original,
             ppn_corrupt: corrupt,
         })
@@ -743,10 +778,9 @@ impl Tlb {
     /// same-identity refill); either way no corrupt translation for this
     /// record remains afterwards.
     pub fn scrub_flip(&mut self, flip: &InjectedFlip) -> bool {
-        let entry = &mut self.entries[flip.slot];
-        if entry.valid && entry.vpn == flip.vpn && entry.ppn == flip.ppn_corrupt {
-            entry.valid = false;
-            self.resident -= 1;
+        let slot = flip.slot;
+        if self.keys[slot] == key_of(flip.vpn) && self.entries[slot].ppn == flip.ppn_corrupt {
+            self.free(slot);
             true
         } else {
             false
@@ -766,10 +800,15 @@ impl Tlb {
         }
     }
 
-    fn count_miss(&self, kind: AccessKind) {
+    /// Counts a miss in the telemetry and, when profiling, in the home
+    /// set's conflict counter.
+    fn count_miss(&mut self, kind: AccessKind, set_index: usize) {
         self.telem.misses.incr();
         if let (true, Some(instr)) = (kind.is_fetch(), &self.telem.instr) {
             instr.misses.incr();
+        }
+        if let Some(sp) = self.set_profile.as_deref_mut() {
+            sp.misses[set_index] += 1;
         }
     }
 }
@@ -1045,9 +1084,9 @@ mod tests {
         let home = tlb.set_index(vpn);
         let foreign = (home + 1) % tlb.sets;
         let foreign_slot = foreign * tlb.ways;
+        tlb.keys[foreign_slot] = key_of(vpn);
+        tlb.stamps[foreign_slot] = 1;
         tlb.entries[foreign_slot] = Entry {
-            valid: true,
-            vpn,
             ppn: Ppn::new(0xdead),
             size: PageSize::Size4K,
             flags: PageFlags::PRESENT,
@@ -1055,23 +1094,22 @@ mod tests {
             ccid: Ccid::new(5),
             opc: OpcField::shared(),
             loader: Pid::new(100),
-            last_used: 0,
         };
         tlb.resident += 1;
 
         tlb.invalidate_shared(vpn, Ccid::new(5));
         assert!(
-            tlb.entries[foreign_slot].valid,
+            tlb.keys[foreign_slot] != FREE,
             "invalidate_shared scanned beyond the home set"
         );
         tlb.invalidate_page(vpn, Pcid::new(1));
         assert!(
-            tlb.entries[foreign_slot].valid,
+            tlb.keys[foreign_slot] != FREE,
             "invalidate_page scanned beyond the home set"
         );
         // Full-structure invalidation still reaches it.
         tlb.flush();
-        assert!(!tlb.entries[foreign_slot].valid);
+        assert_eq!(tlb.keys[foreign_slot], FREE);
     }
 
     #[test]
@@ -1207,6 +1245,422 @@ mod tests {
         let mut b = build();
         for selector in [0u64, 1, 0xdead_beef, u64::MAX] {
             assert_eq!(a.inject_ppn_flip(selector), b.inject_ppn_flip(selector));
+        }
+    }
+
+    /// One slot of the stamp TLB: the whole entry, its valid bit and
+    /// its LRU stamp side by side.
+    #[derive(Debug, Clone, Copy)]
+    struct StampEntry {
+        valid: bool,
+        vpn: Vpn,
+        ppn: Ppn,
+        size: PageSize,
+        flags: PageFlags,
+        pcid: Pcid,
+        ccid: Ccid,
+        opc: OpcField,
+        loader: Pid,
+        last_used: u64,
+    }
+
+    /// The array-of-structs TLB with a clock stamp per entry, scanning
+    /// a set once per question: the reference the key/stamp arrays must
+    /// match operation for operation. Sets are picked with `%`.
+    struct StampTlb {
+        mode: LookupMode,
+        entries: Vec<StampEntry>,
+        sets: usize,
+        ways: usize,
+        resident: usize,
+        clock: u64,
+        telem: TlbTelemetry,
+        set_profile: bf_telemetry::SetCounts,
+    }
+
+    impl StampTlb {
+        fn new(config: TlbConfig, mode: LookupMode) -> Self {
+            let empty = StampEntry {
+                valid: false,
+                vpn: Vpn::default(),
+                ppn: Ppn::default(),
+                size: PageSize::Size4K,
+                flags: PageFlags::empty(),
+                pcid: Pcid::default(),
+                ccid: Ccid::default(),
+                opc: OpcField::shared(),
+                loader: Pid::default(),
+                last_used: 0,
+            };
+            StampTlb {
+                mode,
+                entries: vec![empty; config.entries],
+                sets: config.sets(),
+                ways: config.ways,
+                resident: 0,
+                clock: 0,
+                telem: TlbTelemetry::default(),
+                set_profile: bf_telemetry::SetCounts {
+                    misses: vec![0; config.sets()],
+                    evictions: vec![0; config.sets()],
+                },
+            }
+        }
+
+        fn set_range(&self, vpn: Vpn) -> core::ops::Range<usize> {
+            let base = (vpn.raw() % self.sets as u64) as usize * self.ways;
+            base..base + self.ways
+        }
+
+        fn lookup_kind(&mut self, req: &LookupRequest, kind: AccessKind) -> LookupResult {
+            self.clock += 1;
+            let range = self.set_range(req.vpn);
+            let mode = self.mode;
+            let mut bitmask_consulted = false;
+            let mut outcome: Option<(usize, Hit, bool)> = None;
+            for i in range.clone() {
+                let entry = &self.entries[i];
+                if !entry.valid || entry.vpn != req.vpn {
+                    continue;
+                }
+                match mode {
+                    LookupMode::Conventional => {
+                        if entry.pcid != req.pcid {
+                            continue;
+                        }
+                    }
+                    LookupMode::BabelFish => {
+                        if entry.ccid != req.ccid {
+                            continue;
+                        }
+                        if entry.opc.is_owned() {
+                            if entry.pcid != req.pcid {
+                                continue;
+                            }
+                        } else if entry.opc.orpc() {
+                            bitmask_consulted = true;
+                            if req.pc_bit.is_some_and(|bit| entry.opc.pc_bit(bit)) {
+                                continue;
+                            }
+                        }
+                    }
+                }
+                let hit = Hit {
+                    ppn: entry.ppn,
+                    size: entry.size,
+                    flags: entry.flags,
+                    shared: entry.loader != req.pid,
+                    bitmask_consulted,
+                };
+                outcome = Some((i, hit, entry.opc.is_owned()));
+                break;
+            }
+            if bitmask_consulted {
+                self.telem.bitmask_checks.incr();
+            }
+            let fetch = kind.is_fetch();
+            let instr = self.telem.instr.as_ref().filter(|_| fetch);
+            match outcome {
+                Some((i, hit, owned_entry)) => {
+                    self.entries[i].last_used = self.clock;
+                    if owned_entry && mode == LookupMode::BabelFish {
+                        self.telem.private_copy_hits.incr();
+                    }
+                    self.telem.hits.incr();
+                    instr.inspect(|s| s.hits.incr());
+                    if hit.shared {
+                        self.telem.shared_hits.incr();
+                        instr.inspect(|s| s.shared_hits.incr());
+                    }
+                    if req.is_write && hit.flags.contains(PageFlags::COW) {
+                        self.telem.cow_faults.incr();
+                        LookupResult::CowFault(hit)
+                    } else {
+                        LookupResult::Hit(hit)
+                    }
+                }
+                None => {
+                    self.telem.misses.incr();
+                    instr.inspect(|s| s.misses.incr());
+                    self.set_profile.misses[range.start / self.ways] += 1;
+                    LookupResult::Miss { bitmask_consulted }
+                }
+            }
+        }
+
+        fn fill(&mut self, fill: TlbFill) {
+            self.clock += 1;
+            let range = self.set_range(fill.vpn);
+            let set_index = range.start / self.ways;
+            let mode = self.mode;
+            let set = &mut self.entries[range];
+            let ownership_transition = mode == LookupMode::BabelFish
+                && fill.owned
+                && set.iter().any(|e| {
+                    e.valid && e.vpn == fill.vpn && e.ccid == fill.ccid && !e.opc.is_owned()
+                });
+            let same_identity = |e: &StampEntry| {
+                e.valid
+                    && e.vpn == fill.vpn
+                    && match mode {
+                        LookupMode::Conventional => e.pcid == fill.pcid,
+                        LookupMode::BabelFish => {
+                            e.ccid == fill.ccid
+                                && e.opc.is_owned() == fill.owned
+                                && (!fill.owned || e.pcid == fill.pcid)
+                        }
+                    }
+            };
+            let slot = if let Some(i) = set.iter().position(same_identity) {
+                i
+            } else if let Some(i) = set.iter().position(|e| !e.valid) {
+                i
+            } else {
+                self.telem.evictions.incr();
+                self.set_profile.evictions[set_index] += 1;
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(i, _)| i)
+                    .unwrap()
+            };
+            let opc = if fill.owned {
+                OpcField::owned()
+            } else if fill.orpc {
+                OpcField::shared_with_mask(fill.pc_bitmask)
+            } else {
+                OpcField::shared()
+            };
+            if !set[slot].valid {
+                self.resident += 1;
+            }
+            set[slot] = StampEntry {
+                valid: true,
+                vpn: fill.vpn,
+                ppn: fill.ppn,
+                size: fill.size,
+                flags: fill.flags,
+                pcid: fill.pcid,
+                ccid: fill.ccid,
+                opc,
+                loader: fill.loader,
+                last_used: self.clock,
+            };
+            self.telem.fills.incr();
+            if ownership_transition {
+                self.telem.ownership_transitions.incr();
+            }
+        }
+
+        /// Invalidates the entries of `range` that `doomed` picks.
+        fn drop_where(
+            &mut self,
+            range: core::ops::Range<usize>,
+            doomed: impl Fn(&StampEntry) -> bool,
+        ) {
+            for entry in &mut self.entries[range] {
+                if entry.valid && doomed(entry) {
+                    entry.valid = false;
+                    self.resident -= 1;
+                }
+            }
+        }
+
+        fn invalidate_shared(&mut self, vpn: Vpn, ccid: Ccid) {
+            let range = self.set_range(vpn);
+            self.drop_where(range, |e| {
+                e.vpn == vpn && e.ccid == ccid && !e.opc.is_owned()
+            });
+        }
+
+        fn invalidate_page(&mut self, vpn: Vpn, pcid: Pcid) {
+            let range = self.set_range(vpn);
+            self.drop_where(range, |e| e.vpn == vpn && e.pcid == pcid);
+        }
+
+        fn invalidate_process(&mut self, pcid: Pcid) {
+            let babelfish = self.mode == LookupMode::BabelFish;
+            let all = 0..self.entries.len();
+            self.drop_where(all, |e| e.pcid == pcid && (!babelfish || e.opc.is_owned()));
+        }
+
+        fn flush(&mut self) {
+            let all = 0..self.entries.len();
+            self.drop_where(all, |_| true);
+        }
+
+        fn inject_ppn_flip(&mut self, selector: u64) -> Option<InjectedFlip> {
+            if self.resident == 0 {
+                return None;
+            }
+            let nth = ((selector & 0xffff_ffff) % self.resident as u64) as usize;
+            let bit = (selector >> 32) % 8;
+            let (slot, entry) = self
+                .entries
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, e)| e.valid)
+                .nth(nth)?;
+            let original = entry.ppn;
+            entry.ppn = Ppn::new(original.raw() ^ (1 << bit));
+            Some(InjectedFlip {
+                slot,
+                vpn: entry.vpn,
+                ppn_original: original,
+                ppn_corrupt: entry.ppn,
+            })
+        }
+
+        fn scrub_flip(&mut self, flip: &InjectedFlip) -> bool {
+            let entry = &mut self.entries[flip.slot];
+            let hit = entry.valid && entry.vpn == flip.vpn && entry.ppn == flip.ppn_corrupt;
+            if hit {
+                entry.valid = false;
+                self.resident -= 1;
+            }
+            hit
+        }
+    }
+
+    /// The tiny and Table I geometries the oracle test runs on: one set
+    /// of two ways, a fully associative four-way array, every Table I
+    /// structure, and the 192-set larger baseline (the `%` path).
+    fn oracle_geometry(index: u8) -> TlbConfig {
+        let small = |entries, ways| TlbConfig {
+            entries,
+            ways,
+            access_cycles_short: 1,
+            access_cycles_long: 1,
+        };
+        match index {
+            0 => small(2, 2),
+            1 => small(4, 4),
+            2 => small(8, 2),
+            3 => TlbConfig::l1d_4k(),
+            4 => TlbConfig::l1d_2m(),
+            5 => TlbConfig::l1d_1g(),
+            6 => TlbConfig::l2_4k(),
+            7 => TlbConfig::l2_1g(),
+            _ => TlbConfig::l2_4k_larger_baseline(),
+        }
+    }
+
+    /// Replays `ops` on the key/stamp TLB and the stamp oracle and
+    /// compares every result, the resident count, every `tlb.l2.*`
+    /// counter and the per-set conflict counters. An op is (kind, set,
+    /// tag, bits): VPNs crowd three sets so fills evict and dedup, and
+    /// `bits` supplies the PCID, CCID, pid, PC bit and flags.
+    fn tlb_matches_oracle(
+        config: TlbConfig,
+        mode: LookupMode,
+        ops: &[(u8, u64, u64, u64)],
+    ) -> Result<(), proptest::TestCaseError> {
+        let (registry, oracle_registry) =
+            (bf_telemetry::Registry::new(), bf_telemetry::Registry::new());
+        let mut tlb = Tlb::new(config, mode);
+        tlb.set_telemetry(TlbTelemetry::for_role(&registry, "l2"));
+        tlb.enable_set_profile();
+        let mut oracle = StampTlb::new(config, mode);
+        oracle.telem = TlbTelemetry::for_role(&oracle_registry, "l2");
+        let mut flips = Vec::new();
+        for &(kind, set, tag, bits) in ops {
+            let vpn = Vpn::new(tag * config.sets() as u64 + set);
+            let field = |shift: u32, values: u64| (bits >> shift) % values;
+            let pcid = Pcid::new(1 + field(0, 3) as u16);
+            let ccid = Ccid::new(1 + field(4, 2) as u16);
+            match kind {
+                0..=5 => {
+                    let req = LookupRequest {
+                        vpn,
+                        pcid,
+                        ccid,
+                        pid: Pid::new(field(8, 4) as u32),
+                        pc_bit: (field(12, 3) != 0).then(|| field(16, 4) as usize),
+                        is_write: field(20, 2) == 1,
+                    };
+                    let access = if field(24, 2) == 1 {
+                        AccessKind::Fetch
+                    } else {
+                        AccessKind::Read
+                    };
+                    proptest::prop_assert_eq!(
+                        tlb.lookup_kind(&req, access),
+                        oracle.lookup_kind(&req, access)
+                    );
+                }
+                6..=10 => {
+                    let cow = if field(8, 3) == 0 {
+                        PageFlags::COW
+                    } else {
+                        PageFlags::empty()
+                    };
+                    let f = TlbFill {
+                        vpn,
+                        ppn: Ppn::new(bits >> 40),
+                        size: PageSize::Size4K,
+                        flags: PageFlags::PRESENT | PageFlags::USER | cow,
+                        pcid,
+                        ccid,
+                        owned: field(12, 2) == 1,
+                        orpc: field(16, 2) == 1,
+                        pc_bitmask: field(20, 16) as u32,
+                        loader: Pid::new(field(36, 4) as u32),
+                    };
+                    tlb.fill(f);
+                    oracle.fill(f);
+                }
+                11 => {
+                    tlb.invalidate_shared(vpn, ccid);
+                    oracle.invalidate_shared(vpn, ccid);
+                }
+                12 => {
+                    tlb.invalidate_page(vpn, pcid);
+                    oracle.invalidate_page(vpn, pcid);
+                }
+                13 if field(8, 4) == 0 => {
+                    tlb.invalidate_process(pcid);
+                    oracle.invalidate_process(pcid);
+                }
+                13 if field(8, 4) == 1 => {
+                    tlb.flush();
+                    oracle.flush();
+                }
+                14 => {
+                    let flip = tlb.inject_ppn_flip(bits);
+                    proptest::prop_assert_eq!(flip, oracle.inject_ppn_flip(bits));
+                    flips.extend(flip);
+                }
+                _ => {
+                    if let Some(flip) = flips.pop() {
+                        proptest::prop_assert_eq!(tlb.scrub_flip(&flip), oracle.scrub_flip(&flip));
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(tlb.resident_entries(), oracle.resident);
+            proptest::prop_assert_eq!(tlb.resident_scan(), oracle.resident);
+        }
+        proptest::prop_assert_eq!(
+            registry.snapshot().counters,
+            oracle_registry.snapshot().counters
+        );
+        proptest::prop_assert_eq!(tlb.set_profile(), Some(&oracle.set_profile));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The key/stamp arrays give the AoS stamp TLB's lookups,
+        /// residency, counters, evictions and injected flips under any
+        /// mix of lookups, fills (owned, shared, ORPC), invalidations,
+        /// flushes, injections and scrubs, in both lookup modes, on tiny
+        /// and Table I geometries.
+        #[test]
+        fn key_stamp_arrays_match_stamp_oracle(
+            geometry in 0u8..9,
+            babelfish in 0u8..2,
+            ops in proptest::collection::vec((0u8..16, 0u64..3, 0u64..5, 0u64..u64::MAX), 1..300)
+        ) {
+            let mode = if babelfish == 1 { LookupMode::BabelFish } else { LookupMode::Conventional };
+            tlb_matches_oracle(oracle_geometry(geometry), mode, &ops)?;
         }
     }
 }

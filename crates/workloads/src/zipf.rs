@@ -31,6 +31,8 @@ pub struct ZipfianGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^theta`: the scaled draw below which item 1 is picked.
+    item1_bound: f64,
 }
 
 impl ZipfianGenerator {
@@ -46,13 +48,13 @@ impl ZipfianGenerator {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        let _ = zeta2; // folded into eta
         ZipfianGenerator {
             items,
             theta,
             alpha,
             zetan,
             eta,
+            item1_bound: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -73,7 +75,7 @@ impl ZipfianGenerator {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.item1_bound {
             return 1;
         }
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);
