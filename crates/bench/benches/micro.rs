@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the core data structures: the TLB
 //! lookup paths (Fig. 8), MaskPage CoW bookkeeping, the page walk, the
 //! cache hierarchy's L1/L2/L3/DRAM paths, the DRAM bank model, the
-//! frame allocator, the Zipfian generator, and the bf-telemetry
+//! kernel's minor-fault and CoW-break paths, the frame allocator, the Zipfian generator, and the bf-telemetry
 //! primitives themselves (the `telemetry` group times one counter
 //! increment and one histogram record through a registry handle, and
 //! the armed profiler's per-walk tap).
@@ -432,6 +432,73 @@ fn bench_quick_cell(c: &mut Criterion) {
     group.finish();
 }
 
+/// The kernel's fault path on its own, outside the machine: a
+/// demand-zero minor fault on a fresh page of a 1 GB anonymous mapping
+/// (`minor_fault`; a new mapping is made when one is used up), and the
+/// copy-on-write break of a page that a forked child shares with its
+/// parent (`cow_break`; the child is re-forked every 4096 pages, so
+/// each break also carries 1/4096 of a fork and an exit). Both allocate
+/// a frame, which sets its reference count in the frame table, and
+/// write one leaf entry; a minor fault also allocates a PTE table every
+/// 512 pages. Baseline kernel, THP off, so every page is a 4 KB leaf.
+fn bench_os(c: &mut Criterion) {
+    use babelfish::os::{FaultKind, Kernel, KernelConfig, MmapRequest, Segment};
+    let mut group = c.benchmark_group("os");
+    let config = KernelConfig {
+        thp: false,
+        ..KernelConfig::baseline()
+    };
+    let rw = PageFlags::USER | PageFlags::WRITE;
+
+    const MAPPING: u64 = 1 << 30;
+    let mut kernel = Kernel::new(config);
+    let group_id = kernel.create_group();
+    let pid = kernel.spawn(group_id).unwrap();
+    let heap = MmapRequest::anon(Segment::Heap, MAPPING, rw, false);
+    let mut base = kernel.mmap(pid, heap).unwrap();
+    let mut page = 0;
+    group.bench_function("minor_fault", |b| {
+        b.iter(|| {
+            if page == MAPPING / 4096 {
+                base = kernel.mmap(pid, heap).unwrap();
+                page = 0;
+            }
+            let va = base.offset(page * 4096);
+            page += 1;
+            black_box(kernel.handle_fault(pid, va, true).unwrap())
+        })
+    });
+
+    const COW_PAGES: u64 = 4096;
+    let mut kernel = Kernel::new(config);
+    let group_id = kernel.create_group();
+    let parent = kernel.spawn(group_id).unwrap();
+    let heap = MmapRequest::anon(Segment::Heap, COW_PAGES * 4096, rw, false);
+    let base = kernel.mmap(parent, heap).unwrap();
+    for page in 0..COW_PAGES {
+        kernel
+            .handle_fault(parent, base.offset(page * 4096), true)
+            .unwrap();
+    }
+    let mut child = kernel.fork(parent).unwrap().0;
+    let first = kernel.handle_fault(child, base, true).unwrap();
+    assert_eq!(first.kind, FaultKind::Cow, "a child's write breaks CoW");
+    let mut page = 1;
+    group.bench_function("cow_break", |b| {
+        b.iter(|| {
+            if page == COW_PAGES {
+                kernel.exit(child);
+                child = kernel.fork(parent).unwrap().0;
+                page = 0;
+            }
+            let va = base.offset(page * 4096);
+            page += 1;
+            black_box(kernel.handle_fault(child, va, true).unwrap())
+        })
+    });
+    group.finish();
+}
+
 fn bench_allocators(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
     group.bench_function("frame_alloc_free", |b| {
@@ -460,6 +527,7 @@ criterion_group!(
     bench_pgtable,
     bench_quick_cell,
     bench_telemetry,
+    bench_os,
     bench_allocators
 );
 criterion_main!(benches);

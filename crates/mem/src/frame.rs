@@ -1,6 +1,7 @@
 //! Physical frame allocator with per-frame reference counts.
 
-use bf_types::{FastMap, Ppn};
+use crate::FrameTable;
+use bf_types::Ppn;
 
 /// Allocates 4 KB physical frames and aligned contiguous runs (for 2 MB /
 /// 1 GB huge pages) from a fixed pool, and reference-counts them.
@@ -14,7 +15,9 @@ use bf_types::{FastMap, Ppn};
 /// Singleton 4 KB frames are recycled through a free list; contiguous runs
 /// are carved from a bump pointer at the top of the pool (runs are rare
 /// and long-lived in the modelled workloads, so fragmentation of the run
-/// region is not modelled).
+/// region is not modelled). Reference counts live in a [`FrameTable`],
+/// so the counts of a huge-page run occupy one chunk near the top of the
+/// pool and a count lookup hashes nothing.
 ///
 /// # Examples
 ///
@@ -36,8 +39,10 @@ pub struct FrameAllocator {
     bump_high: u64,
     /// Recycled singleton frames.
     free_list: Vec<Ppn>,
-    /// Reference count per live frame. Absent ⇒ free.
-    refcounts: FastMap<Ppn, u32>,
+    /// Reference count per frame; 0 ⇒ free.
+    refcounts: FrameTable<u32>,
+    /// Frames with a nonzero reference count.
+    live: u64,
 }
 
 impl FrameAllocator {
@@ -53,7 +58,8 @@ impl FrameAllocator {
             bump_low: 1,
             bump_high: capacity,
             free_list: Vec::new(),
-            refcounts: FastMap::default(),
+            refcounts: FrameTable::default(),
+            live: 0,
         }
     }
 
@@ -64,7 +70,7 @@ impl FrameAllocator {
 
     /// Number of frames currently live (reference count ≥ 1).
     pub fn live_frames(&self) -> u64 {
-        self.refcounts.len() as u64
+        self.live
     }
 
     /// Allocates one 4 KB frame with reference count 1.
@@ -82,7 +88,8 @@ impl FrameAllocator {
         } else {
             return None;
         };
-        self.refcounts.insert(frame, 1);
+        *self.refcounts.slot_mut(frame) = 1;
+        self.live += 1;
         Some(frame)
     }
 
@@ -103,14 +110,15 @@ impl FrameAllocator {
         }
         self.bump_high = start;
         for i in 0..count {
-            self.refcounts.insert(Ppn::new(start + i), 1);
+            *self.refcounts.slot_mut(Ppn::new(start + i)) = 1;
         }
+        self.live += count;
         Some(Ppn::new(start))
     }
 
     /// Current reference count of a frame (0 if free).
     pub fn refcount(&self, frame: Ppn) -> u32 {
-        self.refcounts.get(&frame).copied().unwrap_or(0)
+        self.refcounts.get(frame).copied().unwrap_or(0)
     }
 
     /// Adds a reference to a live frame.
@@ -120,11 +128,7 @@ impl FrameAllocator {
     /// Panics if the frame is not live — incrementing a freed frame is a
     /// use-after-free in the modelled kernel.
     pub fn inc_ref(&mut self, frame: Ppn) {
-        let count = self
-            .refcounts
-            .get_mut(&frame)
-            .unwrap_or_else(|| panic!("inc_ref on free frame {frame}"));
-        *count += 1;
+        *self.live_count(frame, "inc_ref") += 1;
     }
 
     /// Drops a reference; frees the frame and returns `true` when the last
@@ -134,17 +138,26 @@ impl FrameAllocator {
     ///
     /// Panics if the frame is not live.
     pub fn dec_ref(&mut self, frame: Ppn) -> bool {
-        let count = self
-            .refcounts
-            .get_mut(&frame)
-            .unwrap_or_else(|| panic!("dec_ref on free frame {frame}"));
+        let count = self.live_count(frame, "dec_ref");
         *count -= 1;
         if *count == 0 {
-            self.refcounts.remove(&frame);
+            self.live -= 1;
             self.free_list.push(frame);
             true
         } else {
             false
+        }
+    }
+
+    /// The reference count of a live frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op`, if the frame is free.
+    fn live_count(&mut self, frame: Ppn, op: &str) -> &mut u32 {
+        match self.refcounts.get_mut(frame) {
+            Some(count) if *count > 0 => count,
+            _ => panic!("{op} on free frame {frame}"),
         }
     }
 }

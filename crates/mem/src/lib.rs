@@ -14,6 +14,9 @@
 //!   MaskPages. The hardware page walker reads entries *through the cache
 //!   model* at their physical addresses, which is what makes page-table
 //!   sharing produce cache reuse (Fig. 7).
+//! * [`FrameTable`] — one value per physical frame in chunks allocated on
+//!   first touch: the page contents, reference counts and table sharer
+//!   counts are all indexed by frame number, with no hashing.
 //! * [`Dram`] — channel/rank/bank timing with open-row tracking
 //!   (row-buffer hits vs misses) and bank busy queueing.
 //!
@@ -32,7 +35,9 @@
 pub mod dram;
 pub mod frame;
 pub mod phys;
+pub mod table;
 
 pub use dram::{Dram, DramConfig};
 pub use frame::FrameAllocator;
 pub use phys::PhysMemory;
+pub use table::FrameTable;

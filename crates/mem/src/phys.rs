@@ -1,7 +1,11 @@
 //! Sparse backing store for pages with real contents (page tables and
 //! MaskPages).
 
-use bf_types::{FastMap, PhysAddr, Ppn, TABLE_ENTRIES};
+use crate::FrameTable;
+use bf_types::{PhysAddr, Ppn, TABLE_ENTRIES};
+
+/// The contents of one materialised page.
+type Page = [u64; TABLE_ENTRIES];
 
 /// Word-addressable physical memory for the pages whose *contents* the
 /// simulation actually needs: page-table pages and MaskPages.
@@ -14,6 +18,8 @@ use bf_types::{FastMap, PhysAddr, Ppn, TABLE_ENTRIES};
 /// model sees the same lines (Fig. 6/7).
 ///
 /// Reads of unpopulated pages return 0, matching zero-filled fresh frames.
+/// Pages are found through a [`FrameTable`] indexed by frame number, so
+/// a read is two dependent loads to the page pointer and no hashing.
 ///
 /// # Examples
 ///
@@ -30,7 +36,9 @@ use bf_types::{FastMap, PhysAddr, Ppn, TABLE_ENTRIES};
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMemory {
-    pages: FastMap<Ppn, Box<[u64; TABLE_ENTRIES]>>,
+    pages: FrameTable<Option<Box<Page>>>,
+    /// Pages currently materialised (`Some` slots in `pages`).
+    populated: usize,
 }
 
 impl PhysMemory {
@@ -41,7 +49,7 @@ impl PhysMemory {
 
     /// Number of pages with materialised contents.
     pub fn populated_pages(&self) -> usize {
-        self.pages.len()
+        self.populated
     }
 
     /// Reads the 64-bit word at a physical address (must be 8-byte
@@ -53,7 +61,7 @@ impl PhysMemory {
     pub fn read_u64(&self, addr: PhysAddr) -> u64 {
         assert_eq!(addr.raw() % 8, 0, "misaligned 64-bit read at {addr}");
         let index = (addr.raw() % 4096 / 8) as usize;
-        self.pages.get(&addr.ppn()).map_or(0, |page| page[index])
+        self.page(addr.ppn()).map_or(0, |page| page[index])
     }
 
     /// Writes the 64-bit word at a physical address, materialising the
@@ -75,7 +83,7 @@ impl PhysMemory {
     /// Panics if `index` ≥ 512.
     pub fn read_entry(&self, frame: Ppn, index: usize) -> u64 {
         assert!(index < TABLE_ENTRIES, "entry index {index} out of range");
-        self.pages.get(&frame).map_or(0, |page| page[index])
+        self.page(frame).map_or(0, |page| page[index])
     }
 
     /// Writes entry `index` (0..512) of the table page at `frame`.
@@ -92,13 +100,13 @@ impl PhysMemory {
     /// the BabelFish CoW protocol, which clones a whole page of 512
     /// `pte_t` translations at once (Section III-A).
     pub fn copy_page(&mut self, src: Ppn, dst: Ppn) {
-        let contents = self.pages.get(&src).map(|p| **p);
+        let contents = self.page(src).copied();
         match contents {
             Some(words) => *self.page_mut(dst) = words,
             None => {
                 // Source never written ⇒ all zeros.
-                if let Some(page) = self.pages.get_mut(&dst) {
-                    **page = [0; TABLE_ENTRIES];
+                if let Some(page) = self.pages.get_mut(dst).and_then(Option::as_deref_mut) {
+                    *page = [0; TABLE_ENTRIES];
                 }
             }
         }
@@ -107,13 +115,24 @@ impl PhysMemory {
     /// Releases the materialised contents of a page (called when a table
     /// frame is freed).
     pub fn release_page(&mut self, frame: Ppn) {
-        self.pages.remove(&frame);
+        if let Some(slot) = self.pages.get_mut(frame) {
+            if slot.take().is_some() {
+                self.populated -= 1;
+            }
+        }
     }
 
-    fn page_mut(&mut self, frame: Ppn) -> &mut [u64; TABLE_ENTRIES] {
-        self.pages
-            .entry(frame)
-            .or_insert_with(|| Box::new([0; TABLE_ENTRIES]))
+    #[inline]
+    fn page(&self, frame: Ppn) -> Option<&Page> {
+        self.pages.get(frame)?.as_deref()
+    }
+
+    fn page_mut(&mut self, frame: Ppn) -> &mut Page {
+        let slot = self.pages.slot_mut(frame);
+        if slot.is_none() {
+            self.populated += 1;
+        }
+        slot.get_or_insert_with(|| Box::new([0; TABLE_ENTRIES]))
     }
 }
 

@@ -3,9 +3,9 @@
 
 use crate::entry::EntryValue;
 use crate::telemetry::PgtableTelemetry;
-use bf_mem::{FrameAllocator, PhysMemory};
+use bf_mem::{FrameAllocator, FrameTable, PhysMemory};
 use bf_telemetry::Registry;
-use bf_types::{FastMap, Ppn};
+use bf_types::Ppn;
 
 /// Owns everything the page-table layer needs: the frame pool, the
 /// simulated physical memory holding table contents, and one 16-bit
@@ -36,7 +36,10 @@ pub struct TableStore {
     pub mem: PhysMemory,
     /// The physical frame pool.
     pub frames: FrameAllocator,
-    sharers: FastMap<Ppn, u16>,
+    /// Sharer count per frame; 0 ⇒ not a live table.
+    sharers: FrameTable<u16>,
+    /// Frames with a nonzero sharer count.
+    live_tables: u64,
     telem: PgtableTelemetry,
 }
 
@@ -46,7 +49,8 @@ impl TableStore {
         TableStore {
             mem: PhysMemory::new(),
             frames: FrameAllocator::new(frame_capacity),
-            sharers: FastMap::default(),
+            sharers: FrameTable::default(),
+            live_tables: 0,
             telem: PgtableTelemetry::default(),
         }
     }
@@ -67,7 +71,8 @@ impl TableStore {
     /// Returns `None` when physical memory is exhausted.
     pub fn alloc_table(&mut self) -> Option<Ppn> {
         let frame = self.frames.alloc()?;
-        self.sharers.insert(frame, 1);
+        *self.sharers.slot_mut(frame) = 1;
+        self.live_tables += 1;
         self.telem.tables_allocated.incr();
         Some(frame)
     }
@@ -80,10 +85,7 @@ impl TableStore {
     /// Panics if `table` is not a live table, or if the 16-bit counter
     /// would overflow.
     pub fn share_table(&mut self, table: Ppn) {
-        let count = self
-            .sharers
-            .get_mut(&table)
-            .unwrap_or_else(|| panic!("share_table on unknown table {table}"));
+        let count = self.live_sharers(table, "share_table");
         *count = count
             .checked_add(1)
             .expect("table sharer counter overflow (16-bit, Section IV-B)");
@@ -96,13 +98,10 @@ impl TableStore {
     ///
     /// Panics if `table` is not a live table.
     pub fn release_table(&mut self, table: Ppn) -> bool {
-        let count = self
-            .sharers
-            .get_mut(&table)
-            .unwrap_or_else(|| panic!("release_table on unknown table {table}"));
+        let count = self.live_sharers(table, "release_table");
         *count -= 1;
         if *count == 0 {
-            self.sharers.remove(&table);
+            self.live_tables -= 1;
             self.mem.release_page(table);
             self.frames.dec_ref(table);
             self.telem.tables_freed.incr();
@@ -112,9 +111,21 @@ impl TableStore {
         }
     }
 
+    /// The sharer count of a live table.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op`, if `table` is not a live table.
+    fn live_sharers(&mut self, table: Ppn, op: &str) -> &mut u16 {
+        match self.sharers.get_mut(table) {
+            Some(count) if *count > 0 => count,
+            _ => panic!("{op} on unknown table {table}"),
+        }
+    }
+
     /// Current sharer count of a table (0 if unknown/freed).
     pub fn sharers(&self, table: Ppn) -> u16 {
-        self.sharers.get(&table).copied().unwrap_or(0)
+        self.sharers.get(table).copied().unwrap_or(0)
     }
 
     /// Whether `table` is currently shared by more than one process.
@@ -145,13 +156,13 @@ impl TableStore {
     /// Table pages currently allocated. The run's allocation and free
     /// counts are the `pgtable.tables_{allocated,freed}` counters.
     pub fn live_tables(&self) -> u64 {
-        self.sharers.len() as u64
+        self.live_tables
     }
 
     /// Bytes of sharer-counter metadata currently held (2 bytes per live
     /// table), for the Section VII-D space accounting.
     pub fn counter_bytes(&self) -> u64 {
-        self.sharers.len() as u64 * 2
+        self.live_tables * 2
     }
 }
 
@@ -242,5 +253,82 @@ mod tests {
         assert_eq!(counters.counter("pgtable.tables_freed"), 1);
         assert_eq!(store.live_tables(), 1);
         assert_eq!(store.counter_bytes(), 2);
+    }
+
+    proptest::proptest! {
+        /// Random `alloc_table`, `share_table`, `release_table`,
+        /// `clone_table`, `write` and `read` sequences give the same
+        /// tables, sharer counts, reads, `live_tables` and `counter_bytes`
+        /// as the `FastMap<Ppn, u16>` sharer map the frame table replaced,
+        /// kept here as the reference.
+        #[test]
+        fn sharers_match_the_fastmap_reference(
+            ops in proptest::collection::vec((0u8..6, 0u64..1 << 20, 0u64..1 << 20), 1..300),
+        ) {
+            use bf_types::{FastMap, PageFlags};
+            const CAPACITY: u64 = 2 * 4096 + 50;
+            let mut store = TableStore::new(CAPACITY);
+            let mut reference: FastMap<Ppn, u16> = FastMap::default();
+            // Fill the low chunk so later tables land in the next one.
+            let filler: Vec<Ppn> = (0..4000).map(|_| store.frames.alloc().unwrap()).collect();
+            let mut live: Vec<Ppn> = Vec::new();
+            for (op, a, b) in ops {
+                let pick = (!live.is_empty()).then(|| (a % live.len() as u64) as usize);
+                match (op, pick) {
+                    (0, _) => {
+                        if let Some(table) = store.alloc_table() {
+                            proptest::prop_assert_eq!(reference.insert(table, 1), None);
+                            live.push(table);
+                        }
+                    }
+                    (1, Some(pick)) => {
+                        store.share_table(live[pick]);
+                        *reference.get_mut(&live[pick]).unwrap() += 1;
+                    }
+                    (2, Some(pick)) => {
+                        let table = live[pick];
+                        let count = reference.get_mut(&table).unwrap();
+                        *count -= 1;
+                        let freed = *count == 0;
+                        if freed {
+                            reference.remove(&table);
+                            live.retain(|&t| t != table);
+                        }
+                        proptest::prop_assert_eq!(store.release_table(table), freed);
+                    }
+                    (3, Some(pick)) => {
+                        let src = live[pick];
+                        if let Some(copy) = store.clone_table(src) {
+                            proptest::prop_assert_eq!(reference.insert(copy, 1), None);
+                            live.push(copy);
+                            let index = (b % 512) as usize;
+                            proptest::prop_assert_eq!(store.read(copy, index), store.read(src, index));
+                        }
+                    }
+                    (4, Some(pick)) => {
+                        let value = EntryValue::new(Ppn::new(b), PageFlags::PRESENT);
+                        let index = (a % 512) as usize;
+                        store.write(live[pick], index, value);
+                        proptest::prop_assert_eq!(store.read(live[pick], index), value);
+                    }
+                    (5, Some(pick)) => {
+                        proptest::prop_assert_eq!(
+                            store.sharers(live[pick]),
+                            reference[&live[pick]]
+                        );
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(store.live_tables(), reference.len() as u64);
+                proptest::prop_assert_eq!(store.counter_bytes(), reference.len() as u64 * 2);
+            }
+            for raw in 0..CAPACITY + 64 {
+                let frame = Ppn::new(raw);
+                let expected = reference.get(&frame).copied().unwrap_or(0);
+                proptest::prop_assert_eq!(store.sharers(frame), expected);
+                proptest::prop_assert_eq!(store.is_shared(frame), expected > 1);
+            }
+            proptest::prop_assert!(filler.iter().all(|&f| store.frames.refcount(f) == 1));
+        }
     }
 }

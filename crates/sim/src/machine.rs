@@ -25,6 +25,22 @@ struct CoreState {
     active: bool,
 }
 
+/// Memory cycles left after the core's overlap: `hidden`, the latency
+/// times the unhidden fraction, rounded half away from zero, at least 1.
+///
+/// For 0 ≤ `hidden` < 2^52 this equals `hidden.round().max(1.0) as u64`:
+/// adding 0.5 can move the integer part only for `hidden` just below
+/// 0.5, where both give 1. It keeps the software `round` of x86-64
+/// builds without SSE4.1 off the access path.
+#[inline]
+fn overlapped_cycles(hidden: f64) -> Cycles {
+    debug_assert!(
+        (0.0..(1u64 << 52) as f64).contains(&hidden),
+        "overlapped latency {hidden} outside [0, 2^52)"
+    );
+    ((hidden + 0.5) as Cycles).max(1)
+}
+
 /// Maps a cache-hierarchy classification to its walk-path source code.
 fn served_src(served: ServedBy) -> u32 {
     match served {
@@ -646,44 +662,33 @@ impl Machine {
 
     /// Runs every core until each has retired `budget` instructions in
     /// this measurement window (cores with nothing runnable stop early).
+    /// `u64::MAX` runs until every attached workload has emitted
+    /// [`Op::Done`] (functions run to completion; their processes exit).
     pub fn run_instructions(&mut self, budget: u64) {
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| {
-                    c.active && c.instructions < budget && self.sched_has_work(CoreId::new(*i))
-                })
-                .min_by_key(|(_, c)| c.clock)
-                .map(|(i, _)| i);
-            match next {
-                Some(core) => {
-                    self.step_core(core);
-                }
-                None => break,
-            }
+        while let Some(core) = self.next_core(budget) {
+            self.step_core(core);
         }
     }
 
-    /// Runs until every attached workload has emitted [`Op::Done`]
-    /// (functions run to completion; their processes exit).
-    pub fn run_until_done(&mut self) {
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| c.active && self.sched_has_work(CoreId::new(*i)))
-                .min_by_key(|(_, c)| c.clock)
-                .map(|(i, _)| i);
-            match next {
-                Some(core) => {
-                    self.step_core(core);
-                }
-                None => break,
+    /// The core to step next: among the cores that are active, under
+    /// `budget` and have runnable work, the one with the smallest clock,
+    /// and of several such the *first* (lowest index). A plain loop, so
+    /// the per-step pick stays inline in the scheduler loop.
+    #[inline]
+    fn next_core(&self, budget: u64) -> Option<usize> {
+        let mut next = None;
+        let mut min_clock = 0;
+        for (index, core) in self.cores.iter().enumerate() {
+            if (next.is_none() || core.clock < min_clock)
+                && core.active
+                && core.instructions < budget
+                && self.sched_has_work(CoreId::new(index))
+            {
+                next = Some(index);
+                min_clock = core.clock;
             }
         }
+        next
     }
 
     fn sched_has_work(&self, core: CoreId) -> bool {
@@ -958,9 +963,7 @@ impl Machine {
             .access(core_id, paddr, kind, AccessOrigin::Core, now);
         // The OoO core hides part of the data latency through MLP; the
         // translation path above cannot be hidden.
-        let mem_cycles = ((raw_mem as f64) * (1.0 - self.config.memory_overlap))
-            .round()
-            .max(1.0) as Cycles;
+        let mem_cycles = overlapped_cycles(raw_mem as f64 * (1.0 - self.config.memory_overlap));
         cycles += mem_cycles;
         self.breakdown.memory_cycles += mem_cycles;
         self.cores[core_index].clock += cycles;
@@ -1429,7 +1432,7 @@ mod tests {
             1,
         ));
         m.attach(CoreId::new(0), c.pid(), w);
-        m.run_until_done();
+        m.run_instructions(u64::MAX);
         assert!(!m.kernel().alive(c.pid()), "function container exited");
     }
 
@@ -2106,5 +2109,84 @@ mod tests {
             format!("{:?}", clean.stats()),
             "an unarmed plan must not perturb the run"
         );
+    }
+
+    #[test]
+    fn overlapped_cycles_matches_round_then_max() {
+        let reference = |hidden: f64| hidden.round().max(1.0) as Cycles;
+        let overlaps = [
+            0.0,
+            0.05,
+            0.1,
+            0.2,
+            0.25,
+            0.3,
+            1.0 / 3.0,
+            0.4,
+            0.5,
+            0.6,
+            0.7,
+            0.75,
+            0.9,
+            0.99,
+        ];
+        for overlap in overlaps {
+            for raw in 0..1u64 << 20 {
+                let hidden = raw as f64 * (1.0 - overlap);
+                assert_eq!(
+                    overlapped_cycles(hidden),
+                    reference(hidden),
+                    "raw {raw}, overlap {overlap}"
+                );
+            }
+        }
+        // Halves, the largest double below 0.5, and the top of the range.
+        let top = (1u64 << 52) as f64;
+        for hidden in [
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            1e15 + 0.5,
+            top - 1.5,
+            top - 0.5,
+            top - 1.0,
+        ] {
+            assert_eq!(overlapped_cycles(hidden), reference(hidden), "{hidden}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The scheduler loop's pick against the iterator expression it
+        /// replaced, over core states with many tied clocks.
+        #[test]
+        fn next_core_is_the_first_minimum_clock(
+            states in proptest::collection::vec((0u8..4, 0u64..4, 0u64..5, 0u64..3), 1..7),
+            budget in 1u64..5,
+        ) {
+            let mut m = Machine::new(SimConfig::new(states.len(), Mode::Baseline).with_frames(64));
+            let budget = if budget == 4 { u64::MAX } else { budget };
+            let mut pid = 1;
+            for (i, &(active, instructions, clock, load)) in states.iter().enumerate() {
+                let core = &mut m.cores[i];
+                core.active = active != 0;
+                core.instructions = instructions;
+                core.clock = clock;
+                for _ in 0..load {
+                    m.sched.assign(CoreId::new(i), Pid::new(pid));
+                    pid += 1;
+                }
+            }
+            let old = m
+                .cores
+                .iter()
+                .enumerate()
+                .filter(|(i, c)| {
+                    c.active && c.instructions < budget && m.sched_has_work(CoreId::new(*i))
+                })
+                .min_by_key(|(_, c)| c.clock)
+                .map(|(i, _)| i);
+            proptest::prop_assert_eq!(m.next_core(budget), old);
+        }
     }
 }
